@@ -385,8 +385,8 @@ func BenchmarkFiguresRunEngine(b *testing.B) {
 // BenchmarkPhaseTimerOverhead quantifies the hot-path cost of the phase
 // timers: "off" is the default nil-timer path (one predictable nil check
 // per region, expected to be indistinguishable from the pre-timer
-// simulator), "sampled64" is the ivperf default, "every-op" the worst
-// case (two clock reads per region on every op).
+// simulator), "sampled64" is the ivsim -phase-sample default, "every-op"
+// the worst case (two clock reads per region on every op).
 func BenchmarkPhaseTimerOverhead(b *testing.B) {
 	cfg := benchCfg()
 	mix := benchMix(b, "S-1")

@@ -81,7 +81,7 @@ func TestFunctionalEndToEndUnderLoad(t *testing.T) {
 			}
 			buf := make([]byte, 64)
 			buf[0] = p.data
-			if _, err := mem.WriteData(0, p.dom, p.vpn, p.pfn, 0, buf); err != nil {
+			if _, err := mem.WriteBlock(secmem.AccessRequest{Domain: p.dom, VPN: layout.VPN(p.vpn), PFN: layout.PFN(p.pfn)}, buf); err != nil {
 				t.Fatal(err)
 			}
 			pages = append(pages, p)
@@ -89,7 +89,8 @@ func TestFunctionalEndToEndUnderLoad(t *testing.T) {
 	}
 	mem.FlushMetadata()
 	for _, p := range pages {
-		got, _, err := mem.ReadData(0, p.dom, p.vpn, p.pfn, 0)
+		got := make([]byte, config.BlockBytes)
+		_, err := mem.ReadBlock(secmem.AccessRequest{Domain: p.dom, VPN: layout.VPN(p.vpn), PFN: layout.PFN(p.pfn)}, got)
 		if err != nil {
 			t.Fatalf("domain %d pfn %d: %v", p.dom, p.pfn, err)
 		}

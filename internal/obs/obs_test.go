@@ -2,11 +2,9 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -285,261 +283,5 @@ func TestPublisher(t *testing.T) {
 	p.Publish(telemetry.Snapshot{Phase: "measure", Counters: map[string]uint64{"a": 1}})
 	if got := p.Latest(); got.Phase != "measure" || got.Counters["a"] != 1 {
 		t.Fatalf("latest: %+v", got)
-	}
-}
-
-func TestBenchFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-	bf := NewBenchFile("abc123", 1)
-	bf.Scenarios = []Measurement{{
-		Name: "sim/S-1/pro", NsPerOp: 500, OpsPerSec: 2e6, Reps: 3,
-		SamplesNsPerOp: []float64{490, 500, 510},
-		PhaseNs:        map[string]uint64{"step": 1000, "secmem": 400},
-	}}
-	if err := WriteBenchFile(path, bf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != BenchSchema || got.GitRev != "abc123" || len(got.Scenarios) != 1 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	if got.Scenarios[0].PhaseNs["secmem"] != 400 {
-		t.Fatalf("phase breakdown lost: %+v", got.Scenarios[0])
-	}
-
-	// Validation refuses unusable documents.
-	for name, breakage := range map[string]func(*BenchFile){
-		"wrong schema":   func(f *BenchFile) { f.Schema = "other/v9" },
-		"no scenarios":   func(f *BenchFile) { f.Scenarios = nil },
-		"zero ns_per_op": func(f *BenchFile) { f.Scenarios[0].NsPerOp = 0 },
-		"nan ns_per_op":  func(f *BenchFile) { f.Scenarios[0].NsPerOp = math.NaN() },
-	} {
-		bad, err := ReadBenchFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		breakage(bad)
-		if bad.Validate() == nil {
-			t.Errorf("%s: Validate accepted it", name)
-		}
-	}
-}
-
-func benchPoint(names []string, ns float64, samples []float64) *BenchFile {
-	f := NewBenchFile("rev", 1)
-	for _, n := range names {
-		f.Scenarios = append(f.Scenarios, Measurement{
-			Name: n, NsPerOp: ns, SamplesNsPerOp: samples, Reps: len(samples),
-		})
-	}
-	return f
-}
-
-func TestCheckPassesOnRerun(t *testing.T) {
-	old := benchPoint([]string{"a", "b"}, 100, []float64{98, 100, 103})
-	new := benchPoint([]string{"a", "b"}, 104, []float64{101, 104, 106})
-	deltas, err := Check(old, new, DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 0 {
-		t.Fatalf("rerun-level jitter flagged as regression: %+v", regs)
-	}
-}
-
-func TestCheckFailsOnTwoXSlowdown(t *testing.T) {
-	old := benchPoint([]string{"a"}, 100, []float64{98, 100, 103})
-	new := benchPoint([]string{"a"}, 200, []float64{196, 200, 207})
-	deltas, err := Check(old, new, DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(deltas)
-	if len(regs) != 1 || regs[0].Name != "a" {
-		t.Fatalf("2x slowdown not flagged: %+v", deltas)
-	}
-	if regs[0].Ratio < 1.9 || regs[0].Ratio > 2.1 {
-		t.Fatalf("ratio: %+v", regs[0])
-	}
-	if !strings.Contains(FormatDeltas(deltas), "REGRESSED") {
-		t.Fatal("formatted table missing REGRESSED marker")
-	}
-}
-
-func TestCheckNoiseFloorSavesJitteryScenario(t *testing.T) {
-	// Median ratio 1.3 exceeds tol 0.25, but both runs are so spread out
-	// that the delta sits inside 3x the combined MADs: not a regression.
-	old := benchPoint([]string{"a"}, 100, []float64{60, 100, 140})
-	new := benchPoint([]string{"a"}, 130, []float64{85, 130, 175})
-	deltas, err := Check(old, new, DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 0 {
-		t.Fatalf("noisy delta flagged: %+v", regs)
-	}
-	if !strings.Contains(deltas[0].Note, "noise floor") {
-		t.Fatalf("missing noise-floor note: %+v", deltas[0])
-	}
-	// With MADFactor 0 the same delta regresses on ratio alone.
-	deltas, err = Check(old, new, CheckOptions{Tol: 0.25, MADFactor: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 1 {
-		t.Fatalf("ratio-only mode missed it: %+v", deltas)
-	}
-}
-
-func TestCheckMissingAndNewScenarios(t *testing.T) {
-	old := benchPoint([]string{"kept", "dropped"}, 100, []float64{100})
-	new := benchPoint([]string{"kept", "added"}, 100, []float64{100})
-	deltas, err := Check(old, new, DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]Delta{}
-	for _, d := range deltas {
-		byName[d.Name] = d
-	}
-	if !byName["dropped"].Regressed {
-		t.Fatalf("silently dropped scenario must regress: %+v", byName["dropped"])
-	}
-	if byName["added"].Regressed || !strings.Contains(byName["added"].Note, "no baseline") {
-		t.Fatalf("new scenario handling: %+v", byName["added"])
-	}
-	if byName["kept"].Regressed {
-		t.Fatalf("unchanged scenario regressed: %+v", byName["kept"])
-	}
-}
-
-func TestCheckSteadyAllocGate(t *testing.T) {
-	// Timing is identical, but the steady scenario allocates in NEW: the
-	// gate must fail it regardless of ratio or noise floor.
-	old := benchPoint([]string{"secmem/steady-access"}, 100, []float64{100})
-	old.Scenarios[0].Steady = true
-	new := benchPoint([]string{"secmem/steady-access"}, 100, []float64{100})
-	new.Scenarios[0].Steady = true
-	new.Scenarios[0].AllocsPerOp = 0.5
-	deltas, err := Check(old, new, DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs := Regressions(deltas)
-	if len(regs) != 1 || !strings.Contains(regs[0].Note, "allocates") {
-		t.Fatalf("allocating steady scenario not flagged: %+v", deltas)
-	}
-	// Zero allocs passes.
-	new.Scenarios[0].AllocsPerOp = 0
-	deltas, err = Check(old, new, DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 0 {
-		t.Fatalf("clean steady scenario flagged: %+v", regs)
-	}
-	// A brand-new steady scenario (no baseline) still gets the gate.
-	onlyNew := benchPoint([]string{"fresh/steady"}, 100, []float64{100})
-	onlyNew.Scenarios[0].Steady = true
-	onlyNew.Scenarios[0].AllocsPerOp = 2
-	deltas, err = Check(old, func() *BenchFile {
-		f := benchPoint([]string{"secmem/steady-access"}, 100, []float64{100})
-		f.Scenarios[0].Steady = true
-		f.Scenarios = append(f.Scenarios, onlyNew.Scenarios[0])
-		return f
-	}(), DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	regs = Regressions(deltas)
-	if len(regs) != 1 || regs[0].Name != "fresh/steady" {
-		t.Fatalf("baseline-less steady scenario not gated: %+v", deltas)
-	}
-}
-
-// TestMeasureScenarioSynthetic runs the whole measure→emit→check loop on
-// synthetic scenarios with a known 2x cost difference — the acceptance
-// path of ivperf without the simulator's runtime.
-func TestMeasureScenarioSynthetic(t *testing.T) {
-	mk := func(name string, spins int) Scenario {
-		return Scenario{
-			Name:        name,
-			Fingerprint: "fp-" + name,
-			Run: func(_ *telemetry.PhaseTimers) (float64, error) {
-				x := 0.0
-				for i := 0; i < spins; i++ {
-					x += math.Sqrt(float64(i))
-				}
-				if x < 0 {
-					return 0, fmt.Errorf("impossible")
-				}
-				return 1000, nil
-			},
-		}
-	}
-	measure := func(s Scenario) Measurement {
-		t.Helper()
-		m, err := MeasureScenario(s, 5, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.NsPerOp <= 0 || m.Reps != 5 || len(m.SamplesNsPerOp) != 5 {
-			t.Fatalf("measurement: %+v", m)
-		}
-		return m
-	}
-	base := measure(mk("spin", 200_000))
-	again := measure(mk("spin", 200_000))
-	slow := measure(mk("spin", 3_000_000)) // ~15x work: unambiguous even on a noisy host
-
-	wrap := func(m Measurement) *BenchFile {
-		f := NewBenchFile("r", 1)
-		f.Scenarios = []Measurement{m}
-		return f
-	}
-	deltas, err := Check(wrap(base), wrap(again), CheckOptions{Tol: 1.0, MADFactor: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 0 {
-		t.Fatalf("rerun of the same scenario regressed: %+v", regs)
-	}
-	deltas, err = Check(wrap(base), wrap(slow), DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regs := Regressions(deltas); len(regs) != 1 {
-		t.Fatalf("synthetic slowdown not flagged: %+v", deltas)
-	}
-
-	// An erroring scenario must surface, not emit a bogus point.
-	_, err = MeasureScenario(Scenario{
-		Name: "boom",
-		Run:  func(_ *telemetry.PhaseTimers) (float64, error) { return 0, fmt.Errorf("kaput") },
-	}, 2, 0)
-	if err == nil || !strings.Contains(err.Error(), "kaput") {
-		t.Fatalf("error not surfaced: %v", err)
-	}
-}
-
-func TestMedianAndMAD(t *testing.T) {
-	if got := median([]float64{3, 1, 2}); got != 2 {
-		t.Fatalf("median odd = %v", got)
-	}
-	if got := median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Fatalf("median even = %v", got)
-	}
-	if got := median(nil); got != 0 {
-		t.Fatalf("median empty = %v", got)
-	}
-	if got := mad([]float64{100}); got != 0 {
-		t.Fatalf("mad singleton = %v", got)
-	}
-	if got := mad([]float64{80, 100, 120}); got != 20 {
-		t.Fatalf("mad = %v", got)
 	}
 }

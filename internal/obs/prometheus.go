@@ -1,9 +1,9 @@
 // Package obs is the performance-observability plane: it turns the
 // telemetry layer's pull-based metrics into consumable surfaces — a live
 // HTTP control server (/metrics in Prometheus text exposition, /progress
-// as JSON, /healthz, net/http/pprof), a concurrent sweep-progress tracker
-// with rolling-rate ETAs, and the in-process benchmark harness behind
-// cmd/ivperf that records the repo's BENCH_*.json performance trajectory.
+// as JSON, /healthz, net/http/pprof) and a concurrent sweep-progress
+// tracker with rolling-rate ETAs. Host-time benchmarking lives in the
+// separate simbench module (simbench/README.md), not here.
 //
 // Nothing in this package reaches simulation state: every surface reads
 // snapshots (telemetry.Snapshot, ProgressReport) that the owning

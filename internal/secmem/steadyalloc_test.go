@@ -10,34 +10,44 @@ import (
 // The access-path API v2 contract: once a working set is mapped and the
 // metadata caches are warm, Do allocates nothing — the OpList, the tree
 // arenas, the chunked NFLB state, and the LMM all reuse storage. Any
-// allocation on this path is a regression (the hotalloc lint analyzer
-// catches the static patterns; this test backstops everything it cannot
-// see, such as interface conversions and map growth inside dependencies).
+// allocation on this path is a regression. The contract is enforced two
+// ways: the hotalloc lint analyzer catches the static patterns, and this
+// test backstops everything it cannot see, such as interface conversions
+// and map growth inside dependencies.
 func TestSteadyStateAccessAllocsZero(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		scheme config.Scheme
+		name    string
+		scheme  config.Scheme
+		cfg     func() config.Config
+		pages   uint64
+		basePFN uint64
+		warm    int // rotations before measuring
 	}{
-		{"baseline", config.SchemeBaseline},
-		{"basic", config.SchemeIvLeagueBasic},
-		{"invert", config.SchemeIvLeagueInvert},
-		{"pro", config.SchemeIvLeaguePro},
+		{"baseline", config.SchemeBaseline, testCfg, 8, 100, 64},
+		{"basic", config.SchemeIvLeagueBasic, testCfg, 8, 100, 64},
+		{"invert", config.SchemeIvLeagueInvert, testCfg, 8, 100, 64},
+		{"pro", config.SchemeIvLeaguePro, testCfg, 8, 100, 64},
+		// A 64x wider working set on the full-size default machine.
+		{"pro-512-default", config.SchemeIvLeaguePro, config.Default, 512, 4096, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCtl(t, tc.scheme, false)
+			cfg := tc.cfg()
+			c, err := New(&cfg, tc.scheme, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := c.CreateDomain(1); err != nil {
 				t.Fatal(err)
 			}
-			const pages = 8
-			for i := uint64(0); i < pages; i++ {
-				mapPage(t, c, 1, i, 100+i)
+			for i := uint64(0); i < tc.pages; i++ {
+				mapPage(t, c, 1, i, tc.basePFN+i)
 			}
 			now := uint64(1)
 			access := func() {
-				for i := uint64(0); i < pages; i++ {
+				for i := uint64(0); i < tc.pages; i++ {
 					req := AccessRequest{
 						Now: now, Domain: 1,
-						VPN: layout.VPN(i), PFN: layout.PFN(100 + i),
+						VPN: layout.VPN(i), PFN: layout.PFN(tc.basePFN + i),
 						Block: int(i) % config.BlocksPerPage,
 						Write: i%2 == 0,
 					}
@@ -49,11 +59,11 @@ func TestSteadyStateAccessAllocsZero(t *testing.T) {
 			}
 			// Warm the counters, LMM, NFLB chunks, and (under Pro) let the
 			// hotpage machinery reach its fixed point on this working set.
-			for r := 0; r < 64; r++ {
+			for r := 0; r < tc.warm; r++ {
 				access()
 			}
 			if avg := testing.AllocsPerRun(32, access); avg != 0 {
-				t.Fatalf("steady-state access allocates: %v allocs per %d-page rotation", avg, pages)
+				t.Fatalf("steady-state access allocates: %v allocs per %d-page rotation", avg, tc.pages)
 			}
 		})
 	}

@@ -12,7 +12,10 @@ import (
 // TestPhaseTimersDoNotChangeResults runs the same mix with phase timers
 // off, sampled, and armed on every op, and demands an identical Result
 // each time: the timers read only the host clock, so attaching them must
-// never perturb the simulation.
+// never perturb the simulation. With every op armed it also checks the
+// regions nest: the secmem sub-phases are disjoint intervals inside a
+// secmem call, and every secmem call lies inside a step, so on a
+// monotonic clock step >= secmem >= the sum of the sub-phases exactly.
 func TestPhaseTimersDoNotChangeResults(t *testing.T) {
 	cfg := config.Default()
 	cfg.Sim.WarmupInstr = 2_000
@@ -23,29 +26,48 @@ func TestPhaseTimersDoNotChangeResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := RunMix(&cfg, config.SchemeIvLeaguePro, mix)
-	if base.Failed {
-		t.Fatalf("baseline run failed: %s", base.FailMsg)
-	}
-	for _, sample := range []int{64, 1} {
-		pt := telemetry.NewPhaseTimers(sample)
-		res := RunMix(&cfg, config.SchemeIvLeaguePro, mix, WithPhaseTimers(pt))
-		if res.Failed {
-			t.Fatalf("timed run (sample %d) failed: %s", sample, res.FailMsg)
-		}
-		if !reflect.DeepEqual(base, res) {
-			t.Fatalf("phase timers (sample %d) changed the result:\noff: %+v\non:  %+v", sample, base, res)
-		}
-		// The timers must actually have measured something. (At this
-		// reduced footprint the LLC absorbs most reads, so only the step
-		// total and the metadata phases are guaranteed to be nonzero.)
-		bd := pt.Breakdown()
-		if bd["step"] == 0 {
-			t.Fatalf("sample %d: no step time accumulated: %v", sample, bd)
-		}
-		if sample == 1 && bd["meta_cache"] == 0 && bd["secmem"] == 0 {
-			t.Fatalf("every-op timers saw no sub-phase time at all: %v", bd)
-		}
+	for _, scheme := range []config.Scheme{
+		config.SchemeBaseline, config.SchemeIvLeagueBasic,
+		config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro,
+	} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			base := RunMix(&cfg, scheme, mix)
+			if base.Failed {
+				t.Fatalf("baseline run failed: %s", base.FailMsg)
+			}
+			for _, sample := range []int{64, 1} {
+				pt := telemetry.NewPhaseTimers(sample)
+				res := RunMix(&cfg, scheme, mix, WithPhaseTimers(pt))
+				if res.Failed {
+					t.Fatalf("timed run (sample %d) failed: %s", sample, res.FailMsg)
+				}
+				if !reflect.DeepEqual(base, res) {
+					t.Fatalf("phase timers (sample %d) changed the result:\noff: %+v\non:  %+v", sample, base, res)
+				}
+				// The timers must actually have measured something. (At
+				// this reduced footprint the LLC absorbs most reads, so
+				// only the step total and the secmem call are guaranteed
+				// to be nonzero.)
+				rep := pt.Report()
+				ns := func(p telemetry.Phase) uint64 { return rep[p].Ns }
+				step, secmem := ns(telemetry.PhaseStep), ns(telemetry.PhaseSecMem)
+				if step == 0 {
+					t.Fatalf("sample %d: no step time accumulated: %+v", sample, rep)
+				}
+				if sample != 1 {
+					continue
+				}
+				if secmem == 0 {
+					t.Fatalf("every-op timers saw no secmem time: %+v", rep)
+				}
+				children := ns(telemetry.PhaseTreeWalk) + ns(telemetry.PhaseCrypto) +
+					ns(telemetry.PhaseMetaCache) + ns(telemetry.PhaseMeta)
+				if step < secmem || secmem < children {
+					t.Fatalf("phases mis-nested: step %d, secmem %d, secmem children %d\n%s",
+						step, secmem, children, pt.FormatReport())
+				}
+			}
+		})
 	}
 }
 

@@ -406,7 +406,9 @@ func (m *Machine) PhaseTimers() *telemetry.PhaseTimers { return m.phases }
 
 func (m *Machine) onPageMap(domain int, vpn layout.VPN, pfn layout.PFN) {
 	m.owners.set(pfn, domain, vpn)
+	smT := m.phases.Start()
 	lat, err := m.mem.OnPageMap(m.now(), domain, vpn, pfn)
+	m.phases.End(telemetry.PhaseSecMem, smT)
 	m.pendingLat += lat
 	if err != nil {
 		m.pendingErr = err
@@ -414,7 +416,9 @@ func (m *Machine) onPageMap(domain int, vpn layout.VPN, pfn layout.PFN) {
 }
 
 func (m *Machine) onPageUnmap(domain int, vpn layout.VPN, pfn layout.PFN) {
+	smT := m.phases.Start()
 	lat, err := m.mem.OnPageUnmap(m.now(), domain, vpn, pfn)
+	m.phases.End(telemetry.PhaseSecMem, smT)
 	m.pendingLat += lat
 	if err != nil && m.pendingErr == nil {
 		m.pendingErr = err
@@ -521,10 +525,12 @@ func (m *Machine) step(t *thread) error {
 		if r3.Hit {
 			missLat = float64(cc.L3Latency)
 		} else {
+			smT := m.phases.Start()
 			res, err := m.mem.Do(secmem.AccessRequest{
 				Now: uint64(t.cycles), Domain: dom, VPN: vpn, PFN: pfn,
 				Block: ev.Block, Write: false,
 			})
+			m.phases.End(telemetry.PhaseSecMem, smT)
 			if err != nil {
 				return fmt.Errorf("sim: %s: %w", t.bench, err)
 			}

@@ -20,8 +20,9 @@ type Phase int
 const (
 	// PhaseStep is one whole instruction step (the per-op total).
 	PhaseStep Phase = iota
-	// PhaseSecMem is one secure-memory controller access (LLC miss or
-	// dirty writeback reaching DRAM through the secure path).
+	// PhaseSecMem is one secure-memory controller call: an LLC miss or
+	// dirty writeback reaching DRAM through the secure path, or the
+	// scheme's page map/unmap work on an OS page fault or unmap.
 	PhaseSecMem
 	// PhaseTreeWalk covers integrity-tree traversal: verification walks
 	// toward the root and leaf-node updates on the write path.
@@ -143,18 +144,6 @@ func (t *PhaseTimers) Report() []PhaseStat {
 		out = append(out, PhaseStat{
 			Phase: p.String(), Ns: t.ns[p], Samples: t.samples[p], OfStep: frac,
 		})
-	}
-	return out
-}
-
-// Breakdown returns the phase→sampled-ns map (for BENCH_*.json).
-func (t *PhaseTimers) Breakdown() map[string]uint64 {
-	if t == nil {
-		return nil
-	}
-	out := make(map[string]uint64, int(numPhases))
-	for p := Phase(0); p < numPhases; p++ {
-		out[p.String()] = t.ns[p]
 	}
 	return out
 }
