@@ -208,14 +208,12 @@ func BenchmarkFig20bMetaCacheSize(b *testing.B) {
 	}
 }
 
-// BenchmarkFig21RequiredTreeLings regenerates the analytical TreeLing
-// requirement curves.
+// BenchmarkFig21RequiredTreeLings regenerates the Figure 21 table, the
+// analytical TreeLing requirement curves.
 func BenchmarkFig21RequiredTreeLings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := analysis.Fig21Series(32<<30, 1<<12,
-			[]int{2, 8, 32, 128, 512, 2048}, []float64{1.0, 0.5, 0.1})
-		if len(pts) != 18 {
-			b.Fatal("wrong point count")
+		if tb := figures.Fig21(); len(tb.Rows) != 12 {
+			b.Fatal("wrong row count")
 		}
 	}
 }

@@ -42,15 +42,6 @@ func TestRequiredTreeLingsSkewOrdering(t *testing.T) {
 	}
 }
 
-func TestProvisioningFormula(t *testing.T) {
-	// #τ = (D−1) + (M−(D−1)×4KB)/S from Section VI-D2.
-	got := ProvisionedTreeLings(32<<30, 1<<12, 64<<20)
-	want := uint64(4095) + (32<<30-4095*4096+64<<20-1)/(64<<20)
-	if got != want {
-		t.Fatalf("got %d want %d", got, want)
-	}
-}
-
 func TestSuccessRatesExtremes(t *testing.T) {
 	// Low utilization, few domains: both schemes succeed.
 	s, iv := SuccessRates(ScalabilityConfig{
@@ -88,29 +79,31 @@ func TestSuccessRateBounds(t *testing.T) {
 	}
 }
 
+// Every point of a Figure 21 grid needs at least one TreeLing.
 func TestFig21Series(t *testing.T) {
-	pts := Fig21Series(8<<30, 1<<12, []int{2, 8, 32}, []float64{0.1, 1.0})
-	if len(pts) != 6 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	for _, p := range pts {
-		if p.Required == 0 {
-			t.Fatalf("zero requirement at %+v", p)
+	for _, mb := range []int{2, 8, 32} {
+		for _, skew := range []float64{0.1, 1.0} {
+			if got := RequiredTreeLings(8<<30, 1<<12, uint64(mb)<<20, skew); got == 0 {
+				t.Fatalf("zero requirement at %dMB skew %v", mb, skew)
+			}
 		}
 	}
 }
 
+// The aggregate trend of Figure 22: over a grid of utilizations, domain
+// counts and memory sizes, IvLeague's mean success dominates static
+// partitioning's.
 func TestFig22Surface(t *testing.T) {
-	pts := Fig22Surface(4096, 16<<20, []float64{0.2, 0.8}, []int{8, 64}, []int{8, 64}, 50, 3)
-	if len(pts) != 8 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	// The aggregate trend of Figure 22: IvLeague's mean success dominates
-	// static partitioning's.
 	var sMean, ivMean float64
-	for _, p := range pts {
-		sMean += p.Static
-		ivMean += p.IvLeague
+	for _, u := range []float64{0.2, 0.8} {
+		for _, d := range []int{8, 64} {
+			for _, g := range []int{8, 64} {
+				s, iv := SuccessRates(ScalabilityConfig{TreeLings: 4096, TreeLingBytes: 16 << 20,
+					Utilization: u, Domains: d, MemoryBytes: uint64(g) << 30, Trials: 50, Seed: 3})
+				sMean += s
+				ivMean += iv
+			}
+		}
 	}
 	if ivMean <= sMean {
 		t.Fatalf("IvLeague mean %v not above static %v", ivMean, sMean)

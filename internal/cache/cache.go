@@ -115,9 +115,6 @@ func New(cfg config.CacheConfig, seed uint64, reservedWays int) (*Cache, error) 
 	return c, nil
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() config.CacheConfig { return c.cfg }
-
 func (c *Cache) index(lineAddr uint64) uint64 {
 	if !c.cfg.Randomized {
 		return lineAddr & c.setMask
@@ -234,18 +231,6 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return res
 }
 
-// Probe reports whether addr is present without changing any state.
-func (c *Cache) Probe(addr uint64) bool {
-	lineAddr := addr >> c.lineShift
-	base := int(c.index(lineAddr)) * c.stride
-	for _, t := range c.data[base : base+c.ways] {
-		if t == lineAddr {
-			return true
-		}
-	}
-	return false
-}
-
 // Invalidate removes addr from the cache (even if locked), reporting whether
 // it was present and whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
@@ -313,11 +298,6 @@ func (c *Cache) Flush() int {
 	return dirty
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *Cache) HitRate() float64 {
-	return stats.Ratio(c.Hits.Value(), c.Hits.Value()+c.Misses.Value())
-}
-
 // ResetStats clears the counters but keeps cache contents (used at the end
 // of warmup).
 func (c *Cache) ResetStats() {
@@ -333,19 +313,4 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".hits", &c.Hits)
 	r.RegisterCounter(prefix+".misses", &c.Misses)
 	r.RegisterCounter(prefix+".evictions", &c.Evictions)
-}
-
-// Occupancy returns the fraction of lines currently valid.
-func (c *Cache) Occupancy() float64 {
-	valid := 0
-	nsets := int(c.setMask) + 1
-	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		for w := 0; w < c.ways; w++ {
-			if c.data[base+w] != invalidTag {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(nsets*c.ways)
 }

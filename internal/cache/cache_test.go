@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ivleague/internal/config"
+	"ivleague/internal/telemetry"
 )
 
 func smallCfg(randomized bool) config.CacheConfig {
@@ -18,6 +19,33 @@ func mustNew(t *testing.T, cfg config.CacheConfig, seed uint64, reserved int) *C
 		t.Fatal(err)
 	}
 	return c
+}
+
+// probe reports whether addr is present without changing any state.
+func probe(c *Cache, addr uint64) bool {
+	lineAddr := addr >> c.lineShift
+	base := int(c.index(lineAddr)) * c.stride
+	for _, t := range c.data[base : base+c.ways] {
+		if t == lineAddr {
+			return true
+		}
+	}
+	return false
+}
+
+// occupancy returns the fraction of lines currently valid.
+func occupancy(c *Cache) float64 {
+	valid := 0
+	nsets := int(c.setMask) + 1
+	for set := 0; set < nsets; set++ {
+		base := set * c.stride
+		for w := 0; w < c.ways; w++ {
+			if c.data[base+w] != invalidTag {
+				valid++
+			}
+		}
+	}
+	return float64(valid) / float64(nsets*c.ways)
 }
 
 func TestHitAfterFill(t *testing.T) {
@@ -38,23 +66,23 @@ func TestHitAfterFill(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 0)
-	sets := uint64(c.Config().Sets())
+	sets := uint64(c.cfg.Sets())
 	// Fill one set with Ways+1 distinct lines mapping to set 0.
 	for i := uint64(0); i < 5; i++ {
 		c.Access(i*sets*64, false)
 	}
 	// The first line must have been evicted (LRU).
-	if c.Probe(0) {
+	if probe(c, 0) {
 		t.Fatal("LRU line not evicted")
 	}
-	if !c.Probe(1 * sets * 64) {
+	if !probe(c, 1*sets*64) {
 		t.Fatal("recent line evicted")
 	}
 }
 
 func TestDirtyWriteback(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 0)
-	sets := uint64(c.Config().Sets())
+	sets := uint64(c.cfg.Sets())
 	c.Access(0, true) // dirty
 	var wb Result
 	for i := uint64(1); i <= 4; i++ {
@@ -72,7 +100,7 @@ func TestInvalidate(t *testing.T) {
 	if !present || !dirty {
 		t.Fatalf("invalidate: present=%v dirty=%v", present, dirty)
 	}
-	if c.Probe(0x40) {
+	if probe(c, 0x40) {
 		t.Fatal("line still present after invalidate")
 	}
 	if p, _ := c.Invalidate(0x40); p {
@@ -83,7 +111,7 @@ func TestInvalidate(t *testing.T) {
 func TestLockedLinesSurviveThrashing(t *testing.T) {
 	cfg := smallCfg(false)
 	c := mustNew(t, cfg, 1, 1)
-	sets := uint64(c.Config().Sets())
+	sets := uint64(c.cfg.Sets())
 	if err := c.Lock(0); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +119,7 @@ func TestLockedLinesSurviveThrashing(t *testing.T) {
 	for i := uint64(1); i < 100; i++ {
 		c.Access(i*sets*64, false)
 	}
-	if !c.Probe(0) {
+	if !probe(c, 0) {
 		t.Fatal("locked line was evicted")
 	}
 }
@@ -138,21 +166,21 @@ func TestFlush(t *testing.T) {
 	if d := c.Flush(); d != 1 {
 		t.Fatalf("flush dropped %d dirty lines, want 1", d)
 	}
-	if c.Probe(0) || c.Probe(64) {
+	if probe(c, 0) || probe(c, 64) {
 		t.Fatal("lines survived flush")
 	}
 }
 
 func TestOccupancy(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 0)
-	if c.Occupancy() != 0 {
+	if occupancy(c) != 0 {
 		t.Fatal("empty cache occupancy must be 0")
 	}
 	for i := uint64(0); i < 64; i++ {
 		c.Access(i*64, false)
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("full cache occupancy = %v", c.Occupancy())
+	if occupancy(c) != 1 {
+		t.Fatalf("full cache occupancy = %v", occupancy(c))
 	}
 }
 
@@ -164,7 +192,7 @@ func TestAccessThenProbeProperty(t *testing.T) {
 	f := func(addr uint64) bool {
 		direct.Access(addr, false)
 		random.Access(addr, false)
-		return direct.Probe(addr) && random.Probe(addr)
+		return probe(direct, addr) && probe(random, addr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -179,7 +207,7 @@ func TestCapacityInvariant(t *testing.T) {
 		for _, a := range addrs {
 			c.Access(a, a%3 == 0)
 		}
-		return c.Occupancy() <= 1
+		return occupancy(c) <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -190,14 +218,16 @@ func TestHitRateAndReset(t *testing.T) {
 	c := mustNew(t, smallCfg(false), 1, 0)
 	c.Access(0, false)
 	c.Access(0, false)
-	if hr := c.HitRate(); hr != 0.5 {
+	r := telemetry.NewRegistry()
+	c.RegisterMetrics(r, "c")
+	if hr := r.Snapshot().HitRate("c"); hr != 0.5 {
 		t.Fatalf("hit rate %v", hr)
 	}
 	c.ResetStats()
 	if c.Hits.Value() != 0 || c.Misses.Value() != 0 {
 		t.Fatal("ResetStats did not clear counters")
 	}
-	if !c.Probe(0) {
+	if !probe(c, 0) {
 		t.Fatal("ResetStats cleared contents")
 	}
 }

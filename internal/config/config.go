@@ -12,12 +12,11 @@ import (
 // Memory geometry constants shared by every component. A cache/memory block
 // is 64 bytes and a page is 4 KiB, as in the paper.
 const (
-	BlockBytes     = 64
-	PageBytes      = 4096
-	BlocksPerPage  = PageBytes / BlockBytes
-	BlockShift     = 6
-	PageShift      = 12
-	BlockPageShift = PageShift - BlockShift
+	BlockBytes    = 64
+	PageBytes     = 4096
+	BlocksPerPage = PageBytes / BlockBytes
+	BlockShift    = 6
+	PageShift     = 12
 )
 
 // Scheme identifies one of the evaluated secure-memory schemes.

@@ -48,6 +48,36 @@ func mustCtrl(t *testing.T) func(*Controller, error) *Controller {
 	}
 }
 
+// treelingPages is the number of pages one TreeLing verifies in leaf-only
+// (Basic) mapping.
+func treelingPages(lay *layout.Layout) int { return lay.LevelNodeCount(1) * lay.Arity }
+
+// isParentSlot reports whether the given slot has been converted.
+func isParentSlot(c *Controller, domainID int, slot SlotID) bool {
+	d := c.domains[domainID]
+	if d == nil {
+		return false
+	}
+	tl := slot.TreeLing()
+	if !c.ownsTL(d, tl) {
+		return false
+	}
+	return c.parentOf(tl)[slot.Node()]&(1<<uint(slot.Slot())) != 0
+}
+
+// isOccupied reports whether the given slot currently verifies a page.
+func isOccupied(c *Controller, domainID int, slot SlotID) bool {
+	d := c.domains[domainID]
+	if d == nil {
+		return false
+	}
+	tl := slot.TreeLing()
+	if !c.ownsTL(d, tl) {
+		return false
+	}
+	return c.occupiedOf(tl)[slot.Node()]&(1<<uint(slot.Slot())) != 0
+}
+
 func TestSlotIDRoundTrip(t *testing.T) {
 	f := func(tl uint16, node uint16, slot uint8) bool {
 		n := int(node) % (1 << 24)
@@ -96,8 +126,8 @@ func TestBasicAllocUsesLeafLevelOnly(t *testing.T) {
 			t.Fatalf("Basic allocated non-leaf node at level %d", lay.LevelOf(s.Node()))
 		}
 	}
-	if c.MappedPages(1) != 100 {
-		t.Fatalf("mapped = %d", c.MappedPages(1))
+	if c.domains[1].mapped != 100 {
+		t.Fatalf("mapped = %d", c.domains[1].mapped)
 	}
 }
 
@@ -106,7 +136,7 @@ func TestBasicAllocDistinctSlots(t *testing.T) {
 	c.CreateDomain(1)
 	var ops OpList
 	seen := map[SlotID]bool{}
-	n := lay.TreeLingPages() + 10 // force a second TreeLing
+	n := treelingPages(lay) + 10 // force a second TreeLing
 	for i := 0; i < n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
 		if err != nil {
@@ -134,8 +164,8 @@ func TestFreeThenReuse(t *testing.T) {
 	if s2 != s1 {
 		t.Fatalf("freed slot not reused: freed %v, got %v", s1, s2)
 	}
-	if c.MappedPages(1) != 1 {
-		t.Fatalf("mapped = %d", c.MappedPages(1))
+	if c.domains[1].mapped != 1 {
+		t.Fatalf("mapped = %d", c.domains[1].mapped)
 	}
 }
 
@@ -183,8 +213,8 @@ func TestNFLAllocFreeInvariant(t *testing.T) {
 			bySlot[pfn] = s
 			ops.Reset()
 		}
-		if int(c.MappedPages(1)) != len(bySlot) {
-			t.Fatalf("mode %v: mapped count %d != %d", mode, c.MappedPages(1), len(bySlot))
+		if int(c.domains[1].mapped) != len(bySlot) {
+			t.Fatalf("mode %v: mapped count %d != %d", mode, c.domains[1].mapped, len(bySlot))
 		}
 		util, _ := c.Utilization()
 		if util < 0.995 {
@@ -225,7 +255,7 @@ func TestInvertConversionAndResolve(t *testing.T) {
 	}
 	// The first page's original slot (root slot 0) must now be a parent
 	// slot, and Resolve must follow it to a deeper slot.
-	if !c.IsParentSlot(1, slots[0]) {
+	if !isParentSlot(c, 1, slots[0]) {
 		t.Fatalf("root slot 0 not converted: %v", slots[0])
 	}
 	r, changed := c.Resolve(1, slots[0])
@@ -235,7 +265,7 @@ func TestInvertConversionAndResolve(t *testing.T) {
 	if lay.LevelOf(r.Node()) >= lay.TreeLingHeight {
 		t.Fatal("resolved slot not below the root")
 	}
-	if !c.IsOccupied(1, r) {
+	if !isOccupied(c, 1, r) {
 		t.Fatal("resolved slot not occupied by the relocated page")
 	}
 	// Later pages' slots resolve to themselves.
@@ -301,7 +331,7 @@ func TestProMigratesHotPage(t *testing.T) {
 		t.Fatalf("migrations = %d", c.Migrations.Value())
 	}
 	// Slot occupancy must have moved.
-	if c.IsOccupied(1, slot) || !c.IsOccupied(1, cur) {
+	if isOccupied(c, 1, slot) || !isOccupied(c, 1, cur) {
 		t.Fatal("occupancy did not move with the migration")
 	}
 }
@@ -350,7 +380,7 @@ func TestProHotRegionExcludedFromRegularAlloc(t *testing.T) {
 	c.CreateDomain(1)
 	var ops OpList
 	// Allocate a full TreeLing worth of pages; none may land in τhot.
-	n := lay.TreeLingSlots() / 2
+	n := lay.NodesPerTreeLing * lay.Arity / 2
 	for i := 0; i < n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
 		if err != nil {
@@ -368,7 +398,7 @@ func TestStarvationReported(t *testing.T) {
 	c := mustCtrl(t)(NewController(&cfg, lay, ModeBasic, nil))
 	c.CreateDomain(1)
 	var ops OpList
-	total := lay.TreeLingPages() * 32 // all TreeLings
+	total := treelingPages(lay) * 32 // all TreeLings
 	var err error
 	for i := 0; i <= total; i++ {
 		_, err = c.AllocPage(1, layout.PFN(i), &ops)
@@ -390,7 +420,7 @@ func TestBVv1LeaksCrossTreeLingFrees(t *testing.T) {
 	c.CreateDomain(1)
 	var ops OpList
 	// Fill the first TreeLing fully so allocation moves to a second one.
-	n := lay.TreeLingPages()
+	n := treelingPages(lay)
 	slots := make([]SlotID, 0, n+1)
 	for i := 0; i <= n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
@@ -420,7 +450,7 @@ func TestBVv2ReusesCrossTreeLingFrees(t *testing.T) {
 	c, lay := newCtrl(t, ModeBVv2, false)
 	c.CreateDomain(1)
 	var ops OpList
-	n := lay.TreeLingPages()
+	n := treelingPages(lay)
 	slots := make([]SlotID, 0, n+1)
 	for i := 0; i <= n; i++ {
 		s, err := c.AllocPage(1, layout.PFN(i), &ops)
@@ -462,7 +492,7 @@ func TestBVMoreExpensiveThanNFL(t *testing.T) {
 		c, lay := newCtrl(t, mode, false)
 		c.CreateDomain(1)
 		var ops OpList
-		n := lay.TreeLingPages() * 3 / 2
+		n := treelingPages(lay) * 3 / 2
 		for i := 0; i < n; i++ {
 			if _, err := c.AllocPage(1, layout.PFN(i), &ops); err != nil {
 				t.Fatal(err)
@@ -485,11 +515,11 @@ func TestNFLBHitRateHighForSequentialAlloc(t *testing.T) {
 	c, lay := newCtrl(t, ModeBasic, false)
 	c.CreateDomain(1)
 	var ops OpList
-	for i := 0; i < lay.TreeLingPages(); i++ {
+	for i := 0; i < treelingPages(lay); i++ {
 		c.AllocPage(1, layout.PFN(i), &ops)
 		ops.Reset()
 	}
-	if hr := c.NFLBOf(1).HitRate(); hr < 0.9 {
+	if hr := nflbHitRate(c.NFLBOf(1)); hr < 0.9 {
 		t.Fatalf("NFLB hit rate %v too low for sequential allocation", hr)
 	}
 }

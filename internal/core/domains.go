@@ -578,14 +578,6 @@ func (c *Controller) releaseHot(d *Domain, slot SlotID, ops *OpList) {
 	c.leakSlot(d, slot.TreeLing())
 }
 
-// MappedPages returns the number of pages currently mapped in a domain.
-func (c *Controller) MappedPages(domainID int) uint64 {
-	if d := c.domains[domainID]; d != nil {
-		return d.mapped
-	}
-	return 0
-}
-
 // TreeLingsOf returns the TreeLings assigned to a domain (in order).
 func (c *Controller) TreeLingsOf(domainID int) []int {
 	if d := c.domains[domainID]; d != nil {

@@ -94,30 +94,3 @@ func (c *Controller) Resolve(domainID int, slot SlotID) (SlotID, bool) {
 	}
 	return MakeSlot(tl, node, sl), true
 }
-
-// IsParentSlot reports whether the given slot has been converted (used by
-// tests and invariant checks).
-func (c *Controller) IsParentSlot(domainID int, slot SlotID) bool {
-	d := c.domains[domainID]
-	if d == nil {
-		return false
-	}
-	tl := slot.TreeLing()
-	if !c.ownsTL(d, tl) {
-		return false
-	}
-	return c.parentOf(tl)[slot.Node()]&(1<<uint(slot.Slot())) != 0
-}
-
-// IsOccupied reports whether the given slot currently verifies a page.
-func (c *Controller) IsOccupied(domainID int, slot SlotID) bool {
-	d := c.domains[domainID]
-	if d == nil {
-		return false
-	}
-	tl := slot.TreeLing()
-	if !c.ownsTL(d, tl) {
-		return false
-	}
-	return c.occupiedOf(tl)[slot.Node()]&(1<<uint(slot.Slot())) != 0
-}

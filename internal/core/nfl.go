@@ -183,21 +183,6 @@ func (s *nflSpace) clearSlotAnywhere(tag int64, slot int) bool {
 	return false
 }
 
-// freeSlots returns the number of attachable slots tracked in the space.
-func (s *nflSpace) freeSlots() int {
-	n := 0
-	for _, r := range s.regions {
-		for _, e := range r.entries {
-			a := e.avail
-			for a != 0 {
-				a &= a - 1
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // trackedSlotCapacity returns arity × the number of real (non-padding)
 // entries, the denominator of the utilization metric.
 func (s *nflSpace) trackedSlotCapacity(arity int) int {
@@ -267,11 +252,6 @@ func (b *NFLB) Access(lay *layout.Layout, tl, block int, write bool, ops *OpList
 	ops.Read(lay.NFLBlockAddr(tl, block))
 	*v = nflbEntry{tl: tl, block: block, lastUse: b.tick, valid: true, dirty: write}
 	return false
-}
-
-// HitRate returns the buffer hit rate so far.
-func (b *NFLB) HitRate() float64 {
-	return stats.Ratio(b.Hits.Value(), b.Hits.Value()+b.Misses.Value())
 }
 
 // FlushDomain writes back and drops every entry (domain teardown).

@@ -68,9 +68,6 @@ func NewStore(minorBits int) *Store {
 	}
 }
 
-// MinorBits returns the configured minor-counter width.
-func (s *Store) MinorBits() int { return s.minorBits }
-
 // peek returns the live block for pfn, or nil.
 func (s *Store) peek(pfn layout.PFN) *Block {
 	ci := int(pfn >> ctrChunkShift)

@@ -84,9 +84,6 @@ func New(cfg config.DRAMConfig) *Model {
 	return m
 }
 
-// Config returns the model's configuration.
-func (m *Model) Config() config.DRAMConfig { return m.cfg }
-
 // mapAddr decomposes a physical byte address into channel, bank index and
 // row. Channel interleaving is at block granularity; banks interleave at
 // row granularity, which gives streaming accesses row locality.
@@ -171,19 +168,6 @@ func (m *Model) Access(now uint64, addr uint64, write bool) int {
 	m.Reads.Inc()
 	m.TotalLatency.Add(uint64(lat))
 	return lat
-}
-
-// Accesses returns the total number of read+write transactions so far.
-func (m *Model) Accesses() uint64 { return m.Reads.Value() + m.Writes.Value() }
-
-// MeanReadLatency returns the average read latency observed.
-func (m *Model) MeanReadLatency() float64 {
-	return stats.Ratio(m.TotalLatency.Value(), m.Reads.Value())
-}
-
-// RowHitRate returns rowHits/(rowHits+rowMisses).
-func (m *Model) RowHitRate() float64 {
-	return stats.Ratio(m.RowHits.Value(), m.RowHits.Value()+m.RowMisses.Value())
 }
 
 // ResetStats clears the statistics counters but keeps bank state: the

@@ -40,7 +40,7 @@ func TestBankConflictAddsWait(t *testing.T) {
 func TestWritePosted(t *testing.T) {
 	m := New(testCfg())
 	lat := m.Access(0, 0x2000, true)
-	if lat > m.Config().QueuePenalty*m.Config().QueueDepth {
+	if lat > m.cfg.QueuePenalty*m.cfg.QueueDepth {
 		t.Fatalf("posted write latency %d too high", lat)
 	}
 	if m.Writes.Value() != 1 || m.Reads.Value() != 0 {
@@ -89,18 +89,18 @@ func TestStatsAndReset(t *testing.T) {
 	m := New(testCfg())
 	m.Access(0, 0, false)
 	m.Access(100, 64, false)
-	if m.Accesses() != 2 {
-		t.Fatalf("accesses %d", m.Accesses())
+	if n := m.Reads.Value() + m.Writes.Value(); n != 2 {
+		t.Fatalf("accesses %d", n)
 	}
-	if m.MeanReadLatency() <= 0 {
-		t.Fatal("mean latency not tracked")
+	if m.TotalLatency.Value() == 0 {
+		t.Fatal("read latency not tracked")
 	}
 	m.ResetStats()
-	if m.Accesses() != 0 || m.MeanReadLatency() != 0 {
+	if m.Reads.Value()+m.Writes.Value() != 0 || m.TotalLatency.Value() != 0 {
 		t.Fatal("reset failed")
 	}
-	if m.RowHitRate() != 0 {
-		t.Fatal("row hit rate not reset")
+	if m.RowHits.Value()+m.RowMisses.Value() != 0 {
+		t.Fatal("row hit counters not reset")
 	}
 }
 
@@ -114,7 +114,7 @@ func TestWaitCapBounds(t *testing.T) {
 			maxLat = l
 		}
 	}
-	cfg := m.Config()
+	cfg := m.cfg
 	bound := 4*cfg.RowMissLatency + cfg.RowMissLatency + cfg.QueuePenalty*cfg.QueueDepth
 	if maxLat > bound {
 		t.Fatalf("latency %d exceeds bound %d", maxLat, bound)

@@ -39,14 +39,25 @@ func killResumeOptions() Options {
 	return o
 }
 
-func newSweepEngine(t *testing.T, dir string) *sweep.Engine {
+func newSweepEngine(t *testing.T, dir string) (*sweep.Engine, *sweep.Metrics) {
 	t.Helper()
-	e, err := sweep.NewEngine(sweep.EngineConfig{Dir: dir})
+	m := &sweep.Metrics{}
+	e, err := sweep.NewEngine(sweep.EngineConfig{Dir: dir, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	return e
+	return e, m
+}
+
+// cacheLen counts the objects in the sweep cache under dir.
+func cacheLen(t *testing.T, dir string) int {
+	t.Helper()
+	c, err := sweep.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Len()
 }
 
 // TestCachedSweepMatchesUncached is the core invariant: with a sweep
@@ -65,7 +76,7 @@ func TestCachedSweepMatchesUncached(t *testing.T) {
 
 	dir := t.TempDir()
 	o1 := killResumeOptions()
-	e1 := newSweepEngine(t, dir)
+	e1, m1 := newSweepEngine(t, dir)
 	o1.Sweep = e1
 	first, err := Run(o1)
 	if err != nil {
@@ -74,17 +85,16 @@ func TestCachedSweepMatchesUncached(t *testing.T) {
 	if got := renderRunSet(t, first); got != want {
 		t.Fatalf("cache-populating run diverges from uncached run:\n-- uncached --\n%s\n-- cached --\n%s", want, got)
 	}
-	m1 := e1.Metrics()
 	if m1.Hits.Load() != 0 || m1.Misses.Load() == 0 {
 		t.Fatalf("cold cache: hits=%d misses=%d", m1.Hits.Load(), m1.Misses.Load())
 	}
-	cells := e1.Cache().Len()
+	cells := cacheLen(t, dir)
 	if uint64(cells) != m1.Misses.Load() {
 		t.Fatalf("cache holds %d objects after %d misses", cells, m1.Misses.Load())
 	}
 
 	o2 := killResumeOptions()
-	e2 := newSweepEngine(t, dir)
+	e2, m2 := newSweepEngine(t, dir)
 	o2.Sweep = e2
 	second, err := Run(o2)
 	if err != nil {
@@ -93,7 +103,6 @@ func TestCachedSweepMatchesUncached(t *testing.T) {
 	if got := renderRunSet(t, second); got != want {
 		t.Fatalf("pure-hit rerun diverges from uncached run:\n-- uncached --\n%s\n-- rerun --\n%s", want, got)
 	}
-	m2 := e2.Metrics()
 	if m2.Misses.Load() != 0 {
 		t.Fatalf("warm cache still simulated %d cells", m2.Misses.Load())
 	}
@@ -168,18 +177,17 @@ func TestKillAndResume(t *testing.T) {
 
 	// Resume over the survivors.
 	o := killResumeOptions()
-	e := newSweepEngine(t, dir)
+	e, m := newSweepEngine(t, dir)
 	o.Sweep = e
 	resumed, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := e.Metrics()
 	if int(m.Hits.Load()) != survived {
 		t.Fatalf("resume answered %d hits, but %d cells survived the kill — the resume re-simulated cached work",
 			m.Hits.Load(), survived)
 	}
-	total := e.Cache().Len()
+	total := cacheLen(t, dir)
 	if int(m.Misses.Load()) != total-survived {
 		t.Fatalf("resume simulated %d cells, want the %d missing ones", m.Misses.Load(), total-survived)
 	}
@@ -208,7 +216,7 @@ func TestDegradedCellsRenderAsDeg(t *testing.T) {
 	}
 	dir := t.TempDir()
 	o := killResumeOptions()
-	o.Sweep = newSweepEngine(t, dir)
+	o.Sweep, _ = newSweepEngine(t, dir)
 	if _, err := Run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +247,12 @@ func TestDegradedCellsRenderAsDeg(t *testing.T) {
 	// Rerun with a timeout no simulation can beat and an unlimited failure
 	// budget: alone cells hit, every mix cell degrades.
 	o2 := killResumeOptions()
+	m2 := &sweep.Metrics{}
 	e2, err := sweep.NewEngine(sweep.EngineConfig{
 		Dir:             dir,
 		CellTimeout:     time.Nanosecond,
 		MaxCellFailures: -1,
+		Metrics:         m2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +263,7 @@ func TestDegradedCellsRenderAsDeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(e2.Metrics().Degraded.Load()); got != evicted {
+	if got := int(m2.Degraded.Load()); got != evicted {
 		t.Fatalf("degraded %d cells, want the %d evicted mix cells", got, evicted)
 	}
 	f15, err := rs.Fig15()
@@ -269,14 +279,14 @@ func TestDegradedCellsRenderAsDeg(t *testing.T) {
 	// Degraded cells are never cached: a later sweep with a sane budget
 	// re-simulates exactly those cells and fully recovers the tables.
 	o3 := killResumeOptions()
-	e3 := newSweepEngine(t, dir)
+	e3, m3 := newSweepEngine(t, dir)
 	o3.Sweep = e3
 	healed, err := Run(o3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(e3.Metrics().Misses.Load()) != evicted {
-		t.Fatalf("recovery simulated %d cells, want %d", e3.Metrics().Misses.Load(), evicted)
+	if int(m3.Misses.Load()) != evicted {
+		t.Fatalf("recovery simulated %d cells, want %d", m3.Misses.Load(), evicted)
 	}
 	clean, err := Run(killResumeOptions())
 	if err != nil {
@@ -298,8 +308,7 @@ func TestFig22CachedMatchesUncached(t *testing.T) {
 	}
 	dir := t.TempDir()
 	o1 := killResumeOptions()
-	e1 := newSweepEngine(t, dir)
-	o1.Sweep = e1
+	o1.Sweep, _ = newSweepEngine(t, dir)
 	got, err := Fig22(o1)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +317,7 @@ func TestFig22CachedMatchesUncached(t *testing.T) {
 		t.Fatalf("cached Fig22 diverges:\n-- uncached --\n%s\n-- cached --\n%s", want, got)
 	}
 	o2 := killResumeOptions()
-	e2 := newSweepEngine(t, dir)
+	e2, m2 := newSweepEngine(t, dir)
 	o2.Sweep = e2
 	again, err := Fig22(o2)
 	if err != nil {
@@ -317,7 +326,7 @@ func TestFig22CachedMatchesUncached(t *testing.T) {
 	if again.String() != want.String() {
 		t.Fatalf("warm Fig22 diverges")
 	}
-	if m := e2.Metrics(); m.Misses.Load() != 0 || m.Hits.Load() == 0 {
-		t.Fatalf("warm Fig22: hits=%d misses=%d", m.Hits.Load(), m.Misses.Load())
+	if m2.Misses.Load() != 0 || m2.Hits.Load() == 0 {
+		t.Fatalf("warm Fig22: hits=%d misses=%d", m2.Hits.Load(), m2.Misses.Load())
 	}
 }

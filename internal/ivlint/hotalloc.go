@@ -70,7 +70,7 @@ func runHotAlloc(p *Pass) {
 	// order so reporting stays deterministic.
 	decls := map[types.Object]*ast.FuncDecl{}
 	var order []types.Object
-	roots := map[types.Object]bool{}
+	var roots []types.Object
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fn, ok := d.(*ast.FuncDecl)
@@ -84,7 +84,7 @@ func runHotAlloc(p *Pass) {
 			decls[obj] = fn
 			order = append(order, obj)
 			if hotpathMarked(fn) {
-				roots[obj] = true
+				roots = append(roots, obj)
 			}
 		}
 	}
@@ -120,30 +120,12 @@ func runHotAlloc(p *Pass) {
 		})
 	}
 
-	// Breadth-first reachability from the roots; each function remembers
-	// the first root that reaches it, for the diagnostic message.
-	rootOf := map[types.Object]string{}
-	var queue []types.Object
-	for _, obj := range order {
-		if roots[obj] {
-			rootOf[obj] = obj.Name()
-			queue = append(queue, obj)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, next := range edges[cur] {
-			if _, seen := rootOf[next]; !seen {
-				rootOf[next] = rootOf[cur]
-				queue = append(queue, next)
-			}
-		}
-	}
-
+	// Each function remembers the first root that reaches it, for the
+	// diagnostic message.
+	rootOf := reach(roots, edges)
 	for _, obj := range order {
 		if root, ok := rootOf[obj]; ok {
-			checkHotFunc(p, decls[obj], root)
+			checkHotFunc(p, decls[obj], root.Name())
 		}
 	}
 }

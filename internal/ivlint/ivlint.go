@@ -61,7 +61,7 @@ func (a *Analyzer) AppliesTo(pkgPath string) bool {
 
 // Analyzers returns the full suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, MapIter, PanicPath, ConfigAliasing, Printcall, FloatAccum, ErrDrop, HotAlloc}
+	return []*Analyzer{Determinism, MapIter, PanicPath, ConfigAliasing, Printcall, FloatAccum, ErrDrop, HotAlloc, Deadcode}
 }
 
 // Diagnostic is one finding, positioned in the analyzed source.
@@ -83,6 +83,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	live  map[string]bool // see Package.live
 	diags []Diagnostic
 }
 
@@ -115,6 +116,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
+			live:      pkg.live,
 		}
 		a.Run(pass)
 		diags = append(diags, pass.diags...)

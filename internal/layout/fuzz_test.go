@@ -24,7 +24,7 @@ func FuzzLayoutAddrRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pfn uint64, tl, node int, addr uint64) {
 		// Counter region: pfn -> addr -> pfn.
 		if a, err := l.CounterBlockAddr(PFN(pfn)); err == nil {
-			got, err := l.PFNOfCounterAddr(a)
+			got, err := pfnOfCounterAddr(l, a)
 			if err != nil {
 				t.Fatalf("PFNOfCounterAddr(%#x): %v", a, err)
 			}
@@ -50,7 +50,7 @@ func FuzzLayoutAddrRoundTrip(f *testing.F) {
 
 		// Inverses on arbitrary addresses must error cleanly, and any
 		// address they accept must map back to where it claims.
-		if p, err := l.PFNOfCounterAddr(addr); err == nil {
+		if p, err := pfnOfCounterAddr(l, addr); err == nil {
 			back, err := l.CounterBlockAddr(p)
 			if err != nil || back != addr {
 				t.Fatalf("PFNOfCounterAddr(%#x) = %d but CounterBlockAddr = %#x, %v", addr, p, back, err)

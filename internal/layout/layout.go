@@ -140,19 +140,6 @@ func (l *Layout) CounterBlockAddr(pfn PFN) (uint64, error) {
 	return l.CounterBase + uint64(pfn)*config.BlockBytes, nil
 }
 
-// PFNOfCounterAddr is the inverse of CounterBlockAddr: it recovers the page
-// whose counter block lives at addr.
-func (l *Layout) PFNOfCounterAddr(addr uint64) (PFN, error) {
-	if addr < l.CounterBase || addr >= l.GlobalTreeBase {
-		return 0, fmt.Errorf("layout: address %#x outside the counter region", addr)
-	}
-	off := addr - l.CounterBase
-	if off%config.BlockBytes != 0 {
-		return 0, fmt.Errorf("layout: address %#x not counter-block aligned", addr)
-	}
-	return PFN(off / config.BlockBytes), nil
-}
-
 // GlobalLevelCount returns the number of nodes at a global-tree level
 // (1 = leaves).
 func (l *Layout) GlobalLevelCount(level int) uint64 {
@@ -283,16 +270,4 @@ func (l *Layout) PTEAddr(domain int, vpn VPN) uint64 {
 	x *= 0x9e3779b97f4a7c15
 	x ^= x >> 32
 	return l.PTBase + (x&(l.ptBlocks-1))*config.BlockBytes
-}
-
-// TreeLingPages returns the number of pages one TreeLing can verify in
-// leaf-only (Basic) mapping.
-func (l *Layout) TreeLingPages() int {
-	return l.levelCnt[1] * l.Arity
-}
-
-// TreeLingSlots returns the total number of hash slots in one TreeLing
-// (every node, every slot) — the Invert capacity upper bound.
-func (l *Layout) TreeLingSlots() int {
-	return l.NodesPerTreeLing * l.Arity
 }

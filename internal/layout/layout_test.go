@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +25,19 @@ func mustFn(t *testing.T) func(uint64, error) uint64 {
 	}
 }
 
+// pfnOfCounterAddr is the inverse of CounterBlockAddr: it recovers the page
+// whose counter block lives at addr.
+func pfnOfCounterAddr(l *Layout, addr uint64) (PFN, error) {
+	if addr < l.CounterBase || addr >= l.GlobalTreeBase {
+		return 0, fmt.Errorf("layout: address %#x outside the counter region", addr)
+	}
+	off := addr - l.CounterBase
+	if off%config.BlockBytes != 0 {
+		return 0, fmt.Errorf("layout: address %#x not counter-block aligned", addr)
+	}
+	return PFN(off / config.BlockBytes), nil
+}
+
 func TestRegionsDisjointAndOrdered(t *testing.T) {
 	l := testLayout()
 	if !(l.DataBytes <= l.CounterBase && l.CounterBase < l.GlobalTreeBase &&
@@ -42,11 +56,11 @@ func TestTreeLingNodeCounts(t *testing.T) {
 	if l.LevelNodeCount(1) != 512 || l.LevelNodeCount(4) != 1 {
 		t.Fatal("level counts wrong")
 	}
-	if l.TreeLingPages() != 4096 {
-		t.Fatalf("TreeLingPages = %d", l.TreeLingPages())
+	if pages := l.LevelNodeCount(1) * l.Arity; pages != 4096 {
+		t.Fatalf("TreeLing pages = %d", pages)
 	}
-	if l.TreeLingSlots() != 585*8 {
-		t.Fatalf("TreeLingSlots = %d", l.TreeLingSlots())
+	if slots := l.NodesPerTreeLing * l.Arity; slots != 585*8 {
+		t.Fatalf("TreeLing slots = %d", slots)
 	}
 }
 
@@ -178,7 +192,7 @@ func TestAddrInverses(t *testing.T) {
 	must := mustFn(t)
 	for _, pfn := range []PFN{0, 1, PFN(l.Pages - 1)} {
 		a := must(l.CounterBlockAddr(pfn))
-		got, err := l.PFNOfCounterAddr(a)
+		got, err := pfnOfCounterAddr(l, a)
 		if err != nil || got != pfn {
 			t.Fatalf("PFNOfCounterAddr(%#x) = %d, %v; want %d", a, got, err, pfn)
 		}

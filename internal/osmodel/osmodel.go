@@ -93,9 +93,6 @@ func (f *FrameAllocator) Free(pfn layout.PFN) error {
 	return nil
 }
 
-// InUse returns the number of frames currently allocated.
-func (f *FrameAllocator) InUse() uint64 { return f.inUse }
-
 // WriteState dumps the allocator's behavioural state — range, bump
 // pointer and the free list in LIFO pop order — in a canonical text form.
 // The model checker folds it into its state fingerprint: two allocators
@@ -104,9 +101,6 @@ func (f *FrameAllocator) WriteState(w io.Writer) {
 	fmt.Fprintf(w, "frames lo=%d hi=%d next=%d inuse=%d free=%v\n",
 		f.lo, f.hi, f.next, f.inUse, f.free)
 }
-
-// Capacity returns the total number of frames managed.
-func (f *FrameAllocator) Capacity() uint64 { return uint64(f.hi - f.lo) }
 
 // Process is one running program: an IV domain with a page table. Threads
 // of the same process share the Process (same domain).
@@ -177,6 +171,3 @@ func (p *Process) Unmap(vpn layout.VPN) (bool, error) {
 	p.PagesFreed.Inc()
 	return true, nil
 }
-
-// Mapped returns the number of currently mapped pages.
-func (p *Process) Mapped() uint64 { return p.Table.Mapped() }

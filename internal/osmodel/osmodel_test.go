@@ -10,18 +10,18 @@ import (
 
 func TestFrameAllocatorBasics(t *testing.T) {
 	f := NewFrameAllocator(10, 20)
-	if f.Capacity() != 10 {
-		t.Fatalf("capacity %d", f.Capacity())
+	if n := f.hi - f.lo; n != 10 {
+		t.Fatalf("capacity %d", n)
 	}
 	a, err := f.Alloc()
 	if err != nil || a != 10 {
 		t.Fatalf("first frame %d err %v", a, err)
 	}
-	if f.InUse() != 1 {
+	if f.inUse != 1 {
 		t.Fatal("in-use not tracked")
 	}
 	f.Free(a)
-	if f.InUse() != 0 {
+	if f.inUse != 0 {
 		t.Fatal("free not tracked")
 	}
 	// Freed frames are recycled (LIFO).
@@ -86,7 +86,7 @@ func TestProcessTouchAndUnmap(t *testing.T) {
 	if ok, err := p.Unmap(42); !ok || err != nil {
 		t.Fatalf("unmap failed: ok=%v err=%v", ok, err)
 	}
-	if unmapped != 1 || p.Mapped() != 0 || frames.InUse() != 0 {
+	if unmapped != 1 || len(p.Table.VPNs()) != 0 || frames.inUse != 0 {
 		t.Fatal("unmap bookkeeping wrong")
 	}
 	if ok, err := p.Unmap(42); ok || !errors.Is(err, ErrNotMapped) {

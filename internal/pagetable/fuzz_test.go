@@ -8,7 +8,7 @@ import (
 
 // FuzzPageTableMapUnmap drives the page table with an arbitrary op
 // sequence decoded from the fuzz input. The contract under test: misuse
-// (double map, unmap/SetLeafID of absent VPNs) returns errors or false,
+// (double map, unmap or lookup of absent VPNs) returns errors or false,
 // never panics, and the table's mapped count always matches a shadow map.
 func FuzzPageTableMapUnmap(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x81, 0x01})
@@ -45,14 +45,14 @@ func FuzzPageTableMapUnmap(f *testing.F) {
 					t.Fatalf("unmap(%#x) returned pfn %d, want %d", vpn, old.PFN, want)
 				}
 				delete(shadow, vpn)
-			default: // SetLeafID
-				err := pt.SetLeafID(layout.VPN(vpn), uint64(b))
-				if _, mapped := shadow[vpn]; mapped != (err == nil) {
-					t.Fatalf("SetLeafID(%#x) err=%v, shadow mapped=%v", vpn, err, mapped)
+			default: // lookup
+				pte := pt.Lookup(layout.VPN(vpn))
+				if _, mapped := shadow[vpn]; mapped != (pte != nil) {
+					t.Fatalf("lookup(%#x) = %v, shadow mapped=%v", vpn, pte, mapped)
 				}
 			}
-			if pt.Mapped() != uint64(len(shadow)) {
-				t.Fatalf("mapped count %d != shadow %d", pt.Mapped(), len(shadow))
+			if pt.mapped != uint64(len(shadow)) {
+				t.Fatalf("mapped count %d != shadow %d", pt.mapped, len(shadow))
 			}
 		}
 		// Every shadow entry must still look up correctly.

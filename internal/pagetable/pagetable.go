@@ -66,9 +66,6 @@ func New(levels []uint) *Table {
 // Depth returns the number of page-table levels (walk length).
 func (t *Table) Depth() int { return len(t.levels) }
 
-// Mapped returns the number of present PTEs.
-func (t *Table) Mapped() uint64 { return t.mapped }
-
 func (t *Table) index(vpn layout.VPN, level int) uint64 {
 	return (uint64(vpn) >> t.shifts[level]) & (1<<t.levels[level] - 1)
 }
@@ -154,16 +151,6 @@ func (t *Table) Lookup(vpn layout.VPN) *PTE {
 		return nil
 	}
 	return pte
-}
-
-// SetLeafID updates the LMM field of a mapped page.
-func (t *Table) SetLeafID(vpn layout.VPN, leafID uint64) error {
-	pte := t.Lookup(vpn)
-	if pte == nil {
-		return fmt.Errorf("pagetable: SetLeafID on unmapped vpn %#x", uint64(vpn))
-	}
-	pte.LeafID = leafID
-	return nil
 }
 
 // invalidVPN marks an empty TLB way. VPNs are 36-bit, so the all-ones
@@ -268,9 +255,4 @@ func (t *TLB) Invalidate(vpn layout.VPN) bool {
 		}
 	}
 	return false
-}
-
-// HitRate returns the TLB hit rate so far.
-func (t *TLB) HitRate() float64 {
-	return stats.Ratio(t.Hits.Value(), t.Hits.Value()+t.Misses.Value())
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"ivleague/internal/layout"
+	"ivleague/internal/stats"
 )
 
 func TestMapLookupUnmap(t *testing.T) {
@@ -15,14 +16,14 @@ func TestMapLookupUnmap(t *testing.T) {
 		if pte == nil || pte.PFN != 99 {
 			t.Fatalf("lookup failed: %+v", pte)
 		}
-		if pt.Mapped() != 1 {
-			t.Fatalf("mapped %d", pt.Mapped())
+		if pt.mapped != 1 {
+			t.Fatalf("mapped %d", pt.mapped)
 		}
 		old, ok := pt.Unmap(0x12345)
 		if !ok || old.PFN != 99 {
 			t.Fatal("unmap failed")
 		}
-		if pt.Lookup(0x12345) != nil || pt.Mapped() != 0 {
+		if pt.Lookup(0x12345) != nil || pt.mapped != 0 {
 			t.Fatal("entry survives unmap")
 		}
 	}
@@ -38,13 +39,6 @@ func TestDoubleMapErrors(t *testing.T) {
 	}
 }
 
-func TestSetLeafIDUnmappedErrors(t *testing.T) {
-	pt := New(IvLeagueLevels)
-	if err := pt.SetLeafID(9, 1); err == nil {
-		t.Fatal("SetLeafID on unmapped vpn did not return an error")
-	}
-}
-
 func TestBadLevelWidthsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -52,15 +46,6 @@ func TestBadLevelWidthsPanic(t *testing.T) {
 		}
 	}()
 	New([]uint{9, 9, 9})
-}
-
-func TestSetLeafID(t *testing.T) {
-	pt := New(IvLeagueLevels)
-	pt.Map(7, 3)
-	pt.SetLeafID(7, 0xfeed)
-	if pt.Lookup(7).LeafID != 0xfeed {
-		t.Fatal("LeafID not stored")
-	}
 }
 
 func TestDistinctVPNsNoAliasing(t *testing.T) {
@@ -82,7 +67,7 @@ func TestDistinctVPNsNoAliasing(t *testing.T) {
 				return false
 			}
 		}
-		return fresh.Mapped() == uint64(len(seen))
+		return fresh.mapped == uint64(len(seen))
 	}
 	_ = pt
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -111,8 +96,8 @@ func TestTLBHitMiss(t *testing.T) {
 	if !hit || pfn != 77 {
 		t.Fatal("TLB miss after insert")
 	}
-	if tlb.HitRate() != 0.5 {
-		t.Fatalf("hit rate %v", tlb.HitRate())
+	if hr := stats.Ratio(tlb.Hits.Value(), tlb.Hits.Value()+tlb.Misses.Value()); hr != 0.5 {
+		t.Fatalf("hit rate %v", hr)
 	}
 }
 

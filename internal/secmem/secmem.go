@@ -281,20 +281,11 @@ func (c *Controller) Scheme() config.Scheme { return c.scheme }
 // Layout exposes the address map (used by the attack module and tests).
 func (c *Controller) Layout() *layout.Layout { return c.lay }
 
-// DRAM exposes the memory model's statistics.
-func (c *Controller) DRAM() *dram.Model { return c.dram }
-
-// TreeCache exposes the integrity-tree metadata cache (attack module).
-func (c *Controller) TreeCache() *cache.Cache { return c.treeCache }
-
 // CounterCache exposes the encryption-counter cache.
 func (c *Controller) CounterCache() *cache.Cache { return c.counterCache }
 
 // IvLeague returns the domain controller, or nil for non-IvLeague schemes.
 func (c *Controller) IvLeague() *core.Controller { return c.ivc }
-
-// LMM returns the LMM cache, or nil for non-IvLeague schemes.
-func (c *Controller) LMM() *core.LMMCache { return c.lmm }
 
 // Counters exposes the functional counter store.
 func (c *Controller) Counters() *ctr.Store { return c.counters }
@@ -461,10 +452,6 @@ func (c *Controller) pathHist(domain int) *stats.Histogram {
 	}
 	return h
 }
-
-// MemAccesses returns the total DRAM transactions so far (data +
-// metadata), the Figure 19 metric.
-func (c *Controller) MemAccesses() uint64 { return c.dram.Accesses() }
 
 // ResetStats clears statistics (end of warmup) without touching state.
 // Every subsystem with stats accessors is covered — DRAM, both metadata

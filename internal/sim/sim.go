@@ -83,17 +83,6 @@ func (t *ownerTable) del(pfn layout.PFN) {
 	}
 }
 
-// forEach visits every valid owner entry in ascending pfn order.
-func (t *ownerTable) forEach(fn func(pfn layout.PFN, o owner)) {
-	for ci, chunk := range t.chunks {
-		for i := range chunk {
-			if chunk[i].valid {
-				fn(layout.PFN(ci<<ownerChunkShift|i), chunk[i])
-			}
-		}
-	}
-}
-
 // thread is one hardware context: an event source bound to a process and
 // core.
 type thread struct {
@@ -399,10 +388,6 @@ func (m *Machine) registerMetrics() {
 // Registry exposes the machine's metrics registry for snapshots; the
 // counters reflect the current phase (reset at the warmup boundary).
 func (m *Machine) Registry() *telemetry.Registry { return m.reg }
-
-// PhaseTimers returns the attached hot-path phase timers (nil unless
-// WithPhaseTimers was given).
-func (m *Machine) PhaseTimers() *telemetry.PhaseTimers { return m.phases }
 
 func (m *Machine) onPageMap(domain int, vpn layout.VPN, pfn layout.PFN) {
 	m.owners.set(pfn, domain, vpn)

@@ -8,6 +8,17 @@ import (
 	"ivleague/internal/workload"
 )
 
+// forEach visits every valid owner entry in ascending pfn order.
+func (t *ownerTable) forEach(fn func(pfn layout.PFN, o owner)) {
+	for ci, chunk := range t.chunks {
+		for i := range chunk {
+			if chunk[i].valid {
+				fn(layout.PFN(ci<<ownerChunkShift|i), chunk[i])
+			}
+		}
+	}
+}
+
 func TestStaticPartitionRuns(t *testing.T) {
 	cfg := quickCfg()
 	res := RunMix(&cfg, config.SchemeStaticPartition, smallMix(t))
@@ -122,7 +133,7 @@ func TestWritebackOwnersCleanedOnUnmap(t *testing.T) {
 	// Every remaining owner entry must correspond to a mapped page.
 	mapped := uint64(0)
 	for _, th := range m.threads {
-		mapped += th.proc.Mapped()
+		mapped += uint64(len(th.proc.Table.VPNs()))
 	}
 	entries := uint64(0)
 	m.owners.forEach(func(layout.PFN, owner) { entries++ })

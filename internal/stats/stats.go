@@ -72,9 +72,6 @@ func (m *Mean) Value() float64 {
 	return m.sum / float64(m.n)
 }
 
-// Count returns the number of samples observed.
-func (m *Mean) Count() uint64 { return m.n }
-
 // Sum returns the sum of all samples.
 func (m *Mean) Sum() float64 { return m.sum }
 
@@ -93,22 +90,6 @@ func Gmean(vs []float64) float64 {
 		logSum += math.Log(v)
 	}
 	return math.Exp(logSum / float64(len(vs)))
-}
-
-// WeightedIPC computes the weighted-speedup metric used by Figure 15:
-// sum over cores of IPC_shared/IPC_alone. Panics if lengths differ.
-func WeightedIPC(shared, alone []float64) float64 {
-	if len(shared) != len(alone) {
-		panic("stats: WeightedIPC length mismatch")
-	}
-	sum := 0.0
-	for i := range shared {
-		if alone[i] <= 0 {
-			panic("stats: WeightedIPC with non-positive alone IPC")
-		}
-		sum += shared[i] / alone[i]
-	}
-	return sum
 }
 
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
@@ -150,15 +131,6 @@ func (h *Histogram) Mean() float64 {
 // Count returns the total number of samples.
 func (h *Histogram) Count() uint64 { return h.n }
 
-// Bucket returns the count of samples with value v (or the overflow count
-// when v exceeds the configured maximum).
-func (h *Histogram) Bucket(v int) uint64 {
-	if v < len(h.buckets) {
-		return h.buckets[v]
-	}
-	return h.over
-}
-
 // Reset zeroes all buckets and totals, keeping the bucket geometry.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
@@ -198,22 +170,6 @@ func (h *Histogram) Quantile(p float64) int {
 	return len(h.buckets) // overflow bucket
 }
 
-// Merge adds o's samples into h. The two histograms must have identical
-// bucket geometry; a mismatch is an error and leaves h unchanged.
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.buckets) != len(o.buckets) {
-		return fmt.Errorf("stats: merging histograms with %d and %d buckets",
-			len(h.buckets), len(o.buckets))
-	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.over += o.over
-	h.sum += o.sum
-	h.n += o.n
-	return nil
-}
-
 // Table renders rows of labeled float columns as an aligned text table;
 // it is the shared formatter for cmd/ivbench figure output.
 type Table struct {
@@ -223,16 +179,6 @@ type Table struct {
 
 // AddRow appends a row of pre-formatted cells.
 func (t *Table) AddRow(cells ...string) {
-	t.Rows = append(t.Rows, cells)
-}
-
-// AddFloats appends a row with a label and %.3f-formatted values.
-func (t *Table) AddFloats(label string, vs ...float64) {
-	cells := make([]string, 0, len(vs)+1)
-	cells = append(cells, label)
-	for _, v := range vs {
-		cells = append(cells, fmt.Sprintf("%.3f", v))
-	}
 	t.Rows = append(t.Rows, cells)
 }
 

@@ -36,8 +36,8 @@ func TestMean(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4} {
 		m.Observe(v)
 	}
-	if m.Value() != 2.5 || m.Count() != 4 || m.Sum() != 10 {
-		t.Fatalf("mean=%v count=%d sum=%v", m.Value(), m.Count(), m.Sum())
+	if m.Value() != 2.5 || m.n != 4 || m.Sum() != 10 {
+		t.Fatalf("mean=%v count=%d sum=%v", m.Value(), m.n, m.Sum())
 	}
 }
 
@@ -57,26 +57,13 @@ func TestGmean(t *testing.T) {
 	Gmean([]float64{1, 0})
 }
 
-func TestWeightedIPC(t *testing.T) {
-	got := WeightedIPC([]float64{1, 2}, []float64{2, 2})
-	if got != 1.5 {
-		t.Fatalf("got %v, want 1.5", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	WeightedIPC([]float64{1}, []float64{1, 2})
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(4)
 	for _, v := range []int{0, 1, 1, 4, 9} {
 		h.Observe(v)
 	}
-	if h.Bucket(1) != 2 || h.Bucket(9) != 1 {
-		t.Fatalf("buckets: %d %d", h.Bucket(1), h.Bucket(9))
+	if h.buckets[1] != 2 || h.over != 1 {
+		t.Fatalf("buckets: %d %d", h.buckets[1], h.over)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count %d", h.Count())
@@ -88,7 +75,7 @@ func TestHistogram(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Header: []string{"name", "v"}}
-	tb.AddFloats("x", 1.5)
+	tb.AddRow("x", "1.500")
 	tb.AddRow("longer-name", "2")
 	s := tb.String()
 	if !strings.Contains(s, "longer-name") || !strings.Contains(s, "1.500") {

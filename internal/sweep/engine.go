@@ -170,12 +170,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}, nil
 }
 
-// Metrics returns the engine's counters.
-func (e *Engine) Metrics() *Metrics { return e.metrics }
-
-// Cache returns the underlying object store.
-func (e *Engine) Cache() *Cache { return e.cache }
-
 // Interrupted reports whether the sweep's context has been canceled.
 func (e *Engine) Interrupted() bool { return e.ctx.Err() != nil }
 

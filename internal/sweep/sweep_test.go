@@ -325,7 +325,7 @@ func TestEngineMissThenHit(t *testing.T) {
 	if v2 != 1.25 || runs != 1 {
 		t.Fatalf("hit re-ran the cell: v2=%v runs=%d", v2, runs)
 	}
-	m := e2.Metrics()
+	m := e2.metrics
 	if m.Hits.Load() != 1 || m.Misses.Load() != 0 {
 		t.Fatalf("metrics: hits=%d misses=%d", m.Hits.Load(), m.Misses.Load())
 	}
@@ -343,7 +343,7 @@ func TestEngineDegradesWithinBudgetThenAborts(t *testing.T) {
 	if out != OutcomeFatal || !errors.Is(err, ErrFailureBudget) {
 		t.Fatalf("budget breach: %v %v", out, err)
 	}
-	if got := e.Metrics().Degraded.Load(); got != 2 {
+	if got := e.metrics.Degraded.Load(); got != 2 {
 		t.Fatalf("degraded = %d, want 2", got)
 	}
 }
@@ -392,7 +392,7 @@ func TestEngineInterruptIsFatalNotDegraded(t *testing.T) {
 	if out != OutcomeFatal || !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cell interrupt: %v %v", out, err)
 	}
-	if e.Metrics().Degraded.Load() != 0 {
+	if e.metrics.Degraded.Load() != 0 {
 		t.Fatal("interrupt counted as degradation")
 	}
 
@@ -412,8 +412,8 @@ func TestEngineInterruptIsFatalNotDegraded(t *testing.T) {
 	if e2.cache.Len() != 0 {
 		t.Fatal("interrupted cell was cached")
 	}
-	if e2.Metrics().Canceled.Load() != 1 {
-		t.Fatalf("canceled = %d, want 1", e2.Metrics().Canceled.Load())
+	if e2.metrics.Canceled.Load() != 1 {
+		t.Fatalf("canceled = %d, want 1", e2.metrics.Canceled.Load())
 	}
 	if err := e2.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -447,7 +447,7 @@ func TestEngineCorruptEntryReSimulates(t *testing.T) {
 	if v != 9 {
 		t.Fatalf("v = %d", v)
 	}
-	m := e.Metrics()
+	m := e.metrics
 	if m.Corrupt.Load() != 1 || m.Misses.Load() != 1 {
 		t.Fatalf("metrics: corrupt=%d misses=%d", m.Corrupt.Load(), m.Misses.Load())
 	}

@@ -152,7 +152,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 				}
 				if i%20 == 0 {
 					reg.SetPhase(PhaseMeasure)
-					_ = reg.Phase()
+					_ = reg.Snapshot().Phase
 					reg.Reset()
 				}
 			}

@@ -46,9 +46,6 @@ type Registry struct {
 	gaugeOrder []string
 	gauges     map[string]func() float64
 
-	histOrder []string
-	hists     map[string]*stats.Histogram
-
 	samplers []func(*Sample)
 	resets   []func()
 }
@@ -59,7 +56,6 @@ func NewRegistry() *Registry {
 		phase:    PhaseWarmup,
 		counters: make(map[string]*stats.Counter),
 		gauges:   make(map[string]func() float64),
-		hists:    make(map[string]*stats.Histogram),
 	}
 }
 
@@ -68,13 +64,6 @@ func (r *Registry) SetPhase(phase string) {
 	r.mu.Lock()
 	r.phase = phase
 	r.mu.Unlock()
-}
-
-// Phase returns the current phase marker.
-func (r *Registry) Phase() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.phase
 }
 
 // RegisterCounter adopts an existing counter under a unique name. The
@@ -108,22 +97,6 @@ func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	r.gauges[name] = fn
 }
 
-// RegisterHistogram adopts a histogram. Snapshots expose it as
-// "<name>.count" (counter) plus "<name>.mean", "<name>.p50" and
-// "<name>.p99" gauges; Reset clears it.
-func (r *Registry) RegisterHistogram(name string, h *stats.Histogram) {
-	if h == nil {
-		panic(fmt.Sprintf("telemetry: RegisterHistogram(%q) with nil histogram", name))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.hists[name]; dup {
-		panic(fmt.Sprintf("telemetry: histogram %q registered twice", name))
-	}
-	r.histOrder = append(r.histOrder, name)
-	r.hists[name] = h
-}
-
 // RegisterSampler registers a callback that contributes dynamically-named
 // metrics (e.g. per-domain counters whose key set changes at run time) to
 // every snapshot.
@@ -137,7 +110,7 @@ func (r *Registry) RegisterSampler(fn func(*Sample)) {
 }
 
 // RegisterReset registers extra state to clear on Reset beyond the
-// registered counters and histograms (per-domain stat maps, IPC baseline
+// registered counters (per-domain stat maps, IPC baseline
 // snapshots). Components register their own reset so new stat sources can
 // never be forgotten at the warmup boundary.
 func (r *Registry) RegisterReset(fn func()) {
@@ -149,16 +122,13 @@ func (r *Registry) RegisterReset(fn func()) {
 	r.resets = append(r.resets, fn)
 }
 
-// Reset zeroes every registered counter and histogram and runs the
+// Reset zeroes every registered counter and runs the
 // registered reset hooks — the single end-of-warmup statistics boundary.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, name := range r.counterOrder {
 		r.counters[name].Reset()
-	}
-	for _, name := range r.histOrder {
-		r.hists[name].Reset()
 	}
 	for _, fn := range r.resets {
 		fn()
@@ -190,21 +160,14 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	snap := Snapshot{
 		Phase:    r.phase,
-		Counters: make(map[string]uint64, len(r.counters)+len(r.hists)),
-		Gauges:   make(map[string]float64, len(r.gauges)+3*len(r.hists)),
+		Counters: make(map[string]uint64, len(r.counters)),
+		Gauges:   make(map[string]float64, len(r.gauges)),
 	}
 	for _, name := range r.counterOrder {
 		snap.Counters[name] = r.counters[name].Value()
 	}
 	for _, name := range r.gaugeOrder {
 		snap.Gauges[name] = r.gauges[name]()
-	}
-	for _, name := range r.histOrder {
-		h := r.hists[name]
-		snap.Counters[name+".count"] = h.Count()
-		snap.Gauges[name+".mean"] = h.Mean()
-		snap.Gauges[name+".p50"] = float64(h.Quantile(0.50))
-		snap.Gauges[name+".p99"] = float64(h.Quantile(0.99))
 	}
 	sm := &Sample{snap: &snap}
 	for _, fn := range r.samplers {
@@ -231,29 +194,6 @@ func (s Snapshot) HitRate(prefix string) float64 {
 // Ratio returns Counters[num]/Counters[den] (0 when den is 0).
 func (s Snapshot) Ratio(num, den string) float64 {
 	return stats.Ratio(s.Counters[num], s.Counters[den])
-}
-
-// Delta returns this snapshot minus prev: counters subtract (saturating at
-// zero, so a reset between the two snapshots cannot underflow); gauges and
-// the phase are taken from the later snapshot.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Phase:    s.Phase,
-		Counters: make(map[string]uint64, len(s.Counters)),
-		Gauges:   make(map[string]float64, len(s.Gauges)),
-	}
-	for _, name := range stats.SortedKeys(s.Counters) {
-		v := s.Counters[name]
-		if p := prev.Counters[name]; p < v {
-			d.Counters[name] = v - p
-		} else {
-			d.Counters[name] = 0
-		}
-	}
-	for _, name := range stats.SortedKeys(s.Gauges) {
-		d.Gauges[name] = s.Gauges[name]
-	}
-	return d
 }
 
 // CounterNames returns the snapshot's counter names in sorted order (for

@@ -163,18 +163,6 @@ func TestCounterBlockHashSensitivity(t *testing.T) {
 	}
 }
 
-func TestSlotStoreZeroDefault(t *testing.T) {
-	s := NewSlotStore(8)
-	if s.Slot(1, 3) != 0 {
-		t.Fatal("absent slot not zero")
-	}
-	want := s.NodeHash(99) // hash of all-zero node
-	s.SetSlot(1, 0, 0)
-	if s.NodeHash(1) != want {
-		t.Fatal("explicit zero differs from implicit zero")
-	}
-}
-
 // Property: update-then-verify always succeeds for arbitrary pages and
 // counter contents.
 func TestGlobalUpdateVerifyProperty(t *testing.T) {
