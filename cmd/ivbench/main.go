@@ -9,11 +9,11 @@
 // With -cache-dir the harness becomes a crash-safe resumable sweep: every
 // simulation cell is fingerprinted and persisted to a content-addressed
 // cache the moment it completes, so a killed sweep rerun against the same
-// directory (-resume) re-simulates only the missing cells and emits
-// byte-identical tables. SIGINT/SIGTERM drains in-flight cells,
-// checkpoints the journal and exits with a resume hint; -cell-timeout and
-// -max-cell-failures bound and contain per-cell faults (persistently
-// failing cells render as "deg" instead of aborting the sweep).
+// directory re-simulates only the missing cells and emits byte-identical
+// tables. SIGINT/SIGTERM drains in-flight cells, checkpoints the journal
+// and exits with a resume hint; -cell-timeout and -max-cell-failures
+// bound and contain per-cell faults (persistently failing cells render as
+// "deg" instead of aborting the sweep).
 package main
 
 import (
@@ -52,7 +52,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole harness to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	cacheDir := flag.String("cache-dir", "", "persist every simulation cell to this content-addressed cache and skip cells already present (crash-safe resumable sweeps)")
-	resume := flag.Bool("resume", false, "with -cache-dir, resume a previous (possibly killed) sweep: requires an existing journal and reports prior progress")
 	cellTimeout := flag.Duration("cell-timeout", 0, "with -cache-dir, bound one cell's simulation (0 = unbounded); timed-out cells degrade instead of hanging the sweep")
 	maxCellFailures := flag.Int("max-cell-failures", 4, "with -cache-dir, tolerate this many persistently failing cells (rendered as \"deg\") before aborting; negative = unlimited")
 	httpAddr := flag.String("http", "", "serve live observability (/metrics, /progress, /healthz, /debug/pprof) on this address while the harness runs (e.g. :9090)")
@@ -133,66 +132,51 @@ func main() {
 		opts.Mixes = mixes
 	}
 
-	// The sweep engine: content-addressed result cache + journal + fault
-	// containment, interruptible by SIGINT/SIGTERM. Its metrics and the
-	// live server share one registry, so /metrics carries the sweep
-	// gauges whenever a cache is in use.
-	reg := telemetry.NewRegistry()
-	var engine *sweep.Engine
-	var metrics *sweep.Metrics
-	ctx := context.Background()
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "ivbench: -resume requires -cache-dir")
-		os.Exit(2)
-	}
-	if *cacheDir != "" {
-		if *resume {
-			sum, err := sweep.ReadJournal(filepath.Join(*cacheDir, sweep.JournalName))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ivbench: -resume: no resumable sweep at %s: %v\n", *cacheDir, err)
+	// Both cell bounds act through the failure budget, which only a
+	// cached sweep has (an uncached run aborts on its first failed cell),
+	// so without -cache-dir they are usage errors.
+	if *cacheDir == "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "cell-timeout" || f.Name == "max-cell-failures" {
+				fmt.Fprintf(os.Stderr, "ivbench: -%s requires -cache-dir\n", f.Name)
 				os.Exit(2)
 			}
+		})
+	}
+
+	// The sweep engine runs every cell. With -cache-dir it adds the
+	// content-addressed result cache, the journal and fault containment
+	// within a failure budget, interruptible by SIGINT/SIGTERM; without
+	// it, the first failed cell aborts the run. Its metrics and the live
+	// server share one registry.
+	reg := telemetry.NewRegistry()
+	metrics := &sweep.Metrics{}
+	metrics.Register(reg)
+	ecfg := sweep.EngineConfig{Metrics: metrics}
+	if *cacheDir != "" {
+		if sum, err := sweep.ReadJournal(filepath.Join(*cacheDir, sweep.JournalName)); err == nil {
 			fmt.Fprintf(os.Stderr, "ivbench: resuming sweep %d at %s: %d cells done, %d prior hits, %d failed, %d interrupted\n",
 				sum.Sweeps+1, *cacheDir, sum.Done, sum.Hits, sum.Failed, sum.Interrupted)
 		}
-		var stop context.CancelFunc
-		ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		metrics = &sweep.Metrics{}
-		metrics.Register(reg)
-		var err error
-		engine, err = sweep.NewEngine(sweep.EngineConfig{
-			Dir:             *cacheDir,
-			CellTimeout:     *cellTimeout,
-			MaxCellFailures: *maxCellFailures,
-			Ctx:             ctx,
-			Metrics:         metrics,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ivbench:", err)
-			os.Exit(2)
-		}
-		defer engine.Close()
-		opts.Sweep = engine
+		ecfg.Dir, ecfg.CellTimeout, ecfg.MaxCellFailures, ecfg.Ctx = *cacheDir, *cellTimeout, *maxCellFailures, ctx
 	}
+	engine, err := sweep.NewEngine(ecfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ivbench:", err)
+		os.Exit(2)
+	}
+	defer engine.Close()
+	opts.Sweep = engine
 
-	// The live observability server: progress over every fan-out, the
-	// shared registry's metrics, and guarded pprof.
-	var prog *obs.Progress
+	// The live observability server: the run's record, the shared
+	// registry's metrics, and guarded pprof.
 	if *httpAddr != "" {
-		prog = obs.NewProgress()
-		prog.Register(reg)
-		opts.Observer = prog
-		degraded := func() int64 {
-			if metrics == nil {
-				return -1
-			}
-			return int64(metrics.Degraded.Load())
-		}
 		srv, err := obs.StartServer(obs.ServerConfig{
 			Addr:     *httpAddr,
 			Snapshot: reg.Snapshot,
-			Progress: func() obs.ProgressReport { return prog.Report(degraded()) },
+			Progress: func() any { return metrics.Progress() },
 			Profiles: profGuard,
 		})
 		if err != nil {
@@ -226,12 +210,12 @@ func main() {
 		// An interrupted sweep is not a failure: the in-flight cells have
 		// drained, every completed cell is on disk, and the journal is
 		// checkpointed — say how to pick the sweep back up.
-		if engine != nil && engine.Interrupted() {
+		if engine.Interrupted() {
 			if cerr := engine.Checkpoint(); cerr != nil {
 				fmt.Fprintln(os.Stderr, "ivbench: journal checkpoint:", cerr)
 			}
 			fmt.Fprintln(os.Stderr, "ivbench: interrupted;", metrics.Summary())
-			fmt.Fprintf(os.Stderr, "ivbench: completed cells are cached; resume with: ivbench -cache-dir %s -resume %s\n",
+			fmt.Fprintf(os.Stderr, "ivbench: completed cells are cached; resume with: ivbench -cache-dir %s %s\n",
 				*cacheDir, strings.Join(flag.Args(), " "))
 			os.Exit(exitInterrupted)
 		}
@@ -301,12 +285,5 @@ func main() {
 		show("Figure 20b: tree metadata cache size sensitivity", t, err)
 	}
 
-	if engine != nil {
-		fmt.Fprintf(os.Stderr, "ivbench: %s in %s\n", metrics.Summary(), time.Since(start).Round(time.Millisecond))
-	}
-	if prog != nil {
-		r := prog.Report(-1)
-		fmt.Fprintf(os.Stderr, "ivbench: progress: %d/%d cells done, %d failed, cell latency p50/p99 %dms/%dms\n",
-			r.DoneCells, r.TotalCells, r.FailedCells, r.Latency.P50Ms, r.Latency.P99Ms)
-	}
+	fmt.Fprintf(os.Stderr, "ivbench: %s in %s\n", metrics.Summary(), time.Since(start).Round(time.Millisecond))
 }

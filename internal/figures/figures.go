@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"ivleague/internal/analysis"
 	"ivleague/internal/attack"
@@ -51,33 +50,15 @@ type Options struct {
 	TraceDir string
 	// TraceSample records every Nth traced event (<= 0: every event).
 	TraceSample int
-	// Observer, when non-nil, receives fan-out lifecycle callbacks from
-	// the run engine: FanOut(n) when a fan-out of n cells starts, and
-	// CellDone(d, failed) as each cell completes (from worker
-	// goroutines — implementations must be concurrency-safe; the obs
-	// package's Progress tracker is the canonical one). Reporting only:
-	// callbacks never reach simulation state or an emitted table.
-	Observer CellObserver
-	// Sweep, when non-nil, routes every simulation cell through the
-	// crash-safe resumable sweep engine: results are answered from its
-	// content-addressed cache when fingerprints match, persisted to disk
-	// the moment they complete, and per-cell failures are contained
-	// within the engine's failure budget (rendered as "deg" table
-	// entries). Nil — the default — keeps the exact uncached path, and
-	// cells with armed injection or trace export always bypass the cache
-	// (see cellBypass). Cached and uncached sweeps emit byte-identical
-	// tables.
+	// Sweep runs every cell: a cell's containment, failure budget and
+	// record in the engine's Metrics are the same with and without a
+	// cache. An engine with a cache answers cells from its
+	// content-addressed store when fingerprints match and persists them
+	// the moment they complete; cells with armed injection or trace
+	// export never touch the cache. Nil — the default — runs a private
+	// engine with no cache, which aborts on the first failed cell.
+	// Cached and uncached sweeps emit byte-identical tables.
 	Sweep *sweep.Engine
-}
-
-// CellObserver observes the run engine's fan-outs (see
-// Options.Observer). obs.Progress implements it.
-type CellObserver interface {
-	// FanOut announces that n more cells are about to run.
-	FanOut(n int)
-	// CellDone reports one completed cell's wall-clock duration and
-	// whether it errored.
-	CellDone(d time.Duration, failed bool)
 }
 
 // PerfSchemes are the four schemes of Figures 15/16/18/19.
@@ -125,7 +106,9 @@ type RunSet struct {
 // the mix runs each fan out across Options.Parallelism workers — and
 // figures 15–19 are derived from this set without re-simulation.
 func Run(o Options) (*RunSet, error) {
-	o.lockProgress()
+	if err := o.prepare(); err != nil {
+		return nil, err
+	}
 	rs := &RunSet{
 		Options: &o,
 		Results: make(map[string]map[config.Scheme]sim.Result),
@@ -273,7 +256,9 @@ func (rs *RunSet) Fig16() *stats.Table {
 // that leaked slots translate into starvation as they do at full scale;
 // BV-v1 runs that leak without yet starving are marked "→starves".
 func Fig17a(o Options) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.prepare(); err != nil {
+		return nil, err
+	}
 	schemes := []config.Scheme{
 		config.SchemeBaseline, config.SchemeIvLeaguePro,
 		config.SchemeBVv1, config.SchemeBVv2,
@@ -467,7 +452,9 @@ func Fig20b(o Options) (*stats.Table, error) {
 // the three IvLeague schemes (every run fanned out in parallel) and report
 // per-point gmean IPC normalized to IvLeague-Basic at refPoint.
 func sensitivity(o *Options, tag, axis string, points []int, deriveCfg func(int, config.Config) config.Config, label func(int) string, refPoint int) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.prepare(); err != nil {
+		return nil, err
+	}
 	schemes := []config.Scheme{config.SchemeIvLeagueBasic, config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro}
 	t := &stats.Table{Header: []string{axis, "Basic", "Invert", "Pro"}}
 	mixes := representativeMixes(o.Mixes)
@@ -584,7 +571,9 @@ type fig22Rates struct {
 // cached cell keyed by (point, trials, config), so a resumed grid only
 // recomputes missing points.
 func Fig22(o Options) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.prepare(); err != nil {
+		return nil, err
+	}
 	t := &stats.Table{Header: []string{"util", "domains", "memGB", "static", "ivleague"}}
 	// The sorted order of the old serial sweep is exactly this grid order.
 	var pts []analysis.Fig22Point
@@ -660,21 +649,31 @@ func Table3(cfg *config.Config) *stats.Table {
 	return t
 }
 
-// Fig3 runs the side-channel demonstration across schemes, one attack per
-// worker.
+// Fig3 runs the side-channel demonstration across schemes, one attack
+// cell per worker, each keyed by its scheme and attack parameters. A
+// failed attack cell fails the figure; it is never rendered degraded.
 func Fig3(o Options) (*stats.Table, error) {
-	o.lockProgress()
+	if err := o.prepare(); err != nil {
+		return nil, err
+	}
 	t := &stats.Table{Header: []string{"scheme", "shared-nodes", "accuracy", "lat(bit=1)", "lat(bit=0)"}}
 	acfg := attack.DefaultConfig()
 	acfg.KeyBits = 1024
 	schemes := []config.Scheme{config.SchemeBaseline, config.SchemeIvLeagueBasic,
 		config.SchemeIvLeagueInvert, config.SchemeIvLeaguePro}
-	out := make([]*attack.Result, len(schemes))
+	out := make([]attack.Result, len(schemes))
 	err := o.forEach(len(schemes), func(i int) error {
 		cfg := o.Cfg
 		cfg.DRAM.SizeBytes = 1 << 30
 		cfg.IvLeague.TreeLingCount = 128
-		res, err := attack.Run(&cfg, schemes[i], acfg)
+		key := sweep.CellKey{Kind: "fig3", Scheme: schemes[i].String(), Extra: fmt.Sprintf("%+v", acfg), Config: &cfg}
+		res, _, err := sweepCell(&o, key, func(context.Context) (attack.Result, error) {
+			r, err := attack.Run(&cfg, schemes[i], acfg)
+			if err != nil {
+				return attack.Result{}, err
+			}
+			return *r, nil
+		})
 		if err != nil {
 			return fmt.Errorf("fig3 %v: %w", schemes[i], err)
 		}

@@ -111,6 +111,48 @@ func TestCachedSweepMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestRunMetricsRecordEveryCell pins down what the run's one record
+// counts: every announced cell finishes exactly once, and the latency
+// histogram samples exactly the cells that simulated — all of them on a
+// cold cache, none on a pure-hit rerun.
+func TestRunMetricsRecordEveryCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	dir := t.TempDir()
+	o := killResumeOptions()
+	cells := len(benchmarkNames()) + len(o.Mixes)*len(o.Schemes) // alone + mix
+
+	e1, m1 := newSweepEngine(t, dir)
+	o.Sweep = e1
+	if _, err := Run(o); err != nil {
+		t.Fatal(err)
+	}
+	p := m1.Progress()
+	if p.TotalCells != cells || p.DoneCells != cells || p.FailedCells != 0 {
+		t.Fatalf("cold pass: announced=%d done=%d failed=%d, want %d/%d/0",
+			p.TotalCells, p.DoneCells, p.FailedCells, cells, cells)
+	}
+	if p.Latency.Count != m1.Misses.Load() || m1.Misses.Load() != uint64(cells) {
+		t.Fatalf("cold pass: %d latency samples for %d simulated cells, want %d",
+			p.Latency.Count, m1.Misses.Load(), cells)
+	}
+
+	o2 := killResumeOptions()
+	e2, m2 := newSweepEngine(t, dir)
+	o2.Sweep = e2
+	if _, err := Run(o2); err != nil {
+		t.Fatal(err)
+	}
+	p = m2.Progress()
+	if p.DoneCells != p.TotalCells || p.TotalCells != cells {
+		t.Fatalf("warm pass: announced=%d done=%d, want %d", p.TotalCells, p.DoneCells, cells)
+	}
+	if p.Latency.Count != 0 || m2.Hits.Load() != uint64(cells) {
+		t.Fatalf("warm pass: %d latency samples and %d hits, want 0 and %d", p.Latency.Count, m2.Hits.Load(), cells)
+	}
+}
+
 // TestKillAndResume hard-interrupts a sweep mid-flight with SIGKILL — no
 // signal handler, no draining, the worst possible crash — then resumes
 // over the survived cache and asserts the invariant from the design note:
@@ -328,5 +370,41 @@ func TestFig22CachedMatchesUncached(t *testing.T) {
 	}
 	if m2.Misses.Load() != 0 || m2.Hits.Load() == 0 {
 		t.Fatalf("warm Fig22: hits=%d misses=%d", m2.Hits.Load(), m2.Misses.Load())
+	}
+}
+
+// TestFig3CachedMatchesUncached covers the attack cells: cached and
+// uncached tables are byte-identical and a rerun is answered entirely
+// from the cache.
+func TestFig3CachedMatchesUncached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("attack-backed")
+	}
+	want, err := Fig3(killResumeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	o1 := killResumeOptions()
+	o1.Sweep, _ = newSweepEngine(t, dir)
+	got, err := Fig3(o1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("cached Fig3 diverges:\n-- uncached --\n%s\n-- cached --\n%s", want, got)
+	}
+	o2 := killResumeOptions()
+	e2, m2 := newSweepEngine(t, dir)
+	o2.Sweep = e2
+	again, err := Fig3(o2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != want.String() {
+		t.Fatalf("warm Fig3 diverges:\n-- uncached --\n%s\n-- warm --\n%s", want, again)
+	}
+	if m2.Misses.Load() != 0 || m2.Hits.Load() != 4 {
+		t.Fatalf("warm Fig3: hits=%d misses=%d, want 4/0", m2.Hits.Load(), m2.Misses.Load())
 	}
 }

@@ -1,6 +1,7 @@
-// The parallel run engine behind every simulation-backed figure: a bounded
-// worker pool (stdlib only) that fans out independent runs and collects
-// results by index, so output tables are byte-identical to a serial pass
+// The parallel cell pipeline behind every simulation-backed figure: a
+// bounded worker pool (stdlib only) fans out independent cells, each of
+// which runs through the sweep engine (sweepCell), and collects results
+// by index, so output tables are byte-identical to a serial pass
 // regardless of completion order. Isolation, not locking, is the safety
 // story: stats.Counter and rng.Source are intentionally not goroutine-safe,
 // so every run gets its own *config.Config copy and derives all of its
@@ -51,62 +52,51 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// lockProgress makes o.Progress safe for concurrent use. Idempotent, so
-// figure entry points can call it unconditionally on their Options copy.
-func (o *Options) lockProgress() {
-	if o.Progress == nil {
-		return
+// prepare readies an entry point's Options copy: Progress is made safe
+// for concurrent workers, and a nil Sweep becomes an engine with no
+// cache, so every cell runs through the same engine either way.
+// Idempotent, so entry points call it unconditionally.
+func (o *Options) prepare() error {
+	if o.Progress != nil {
+		if _, ok := o.Progress.(*syncWriter); !ok {
+			o.Progress = &syncWriter{w: o.Progress}
+		}
 	}
-	if _, ok := o.Progress.(*syncWriter); ok {
-		return
+	if o.Sweep == nil {
+		e, err := sweep.NewEngine(sweep.EngineConfig{})
+		if err != nil {
+			return err
+		}
+		o.Sweep = e
 	}
-	o.Progress = &syncWriter{w: o.Progress}
+	return nil
 }
 
-// forEach runs fn(i) for every i in [0, n) on a bounded worker pool.
-// Callers collect results by writing into index i of a preallocated slice,
-// which keeps output assembly deterministic no matter which worker
-// finishes first. Every index runs even if earlier ones fail; the errors
-// come back joined in index order (nil when all succeed). A panicking fn
-// is converted into that index's error instead of crashing the sweep —
-// the harness is a batch job that must degrade gracefully, not die at
-// point 37 of 80.
+// forEach runs fn(i) for every i in [0, n) on a bounded worker pool,
+// after announcing the n cells to the sweep engine; each fn runs its
+// cell through sweepCell, where the engine contains panics and records
+// the cell. Callers collect results by writing into index i of a
+// preallocated slice, which keeps output assembly deterministic no
+// matter which worker finishes first. Every index runs even if earlier
+// ones fail; the errors come back joined in index order (nil when all
+// succeed).
 func (o *Options) forEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	par := o.parallelism()
-	if par > n {
-		par = n
-	}
+	o.Sweep.Announce(n)
+	par := min(o.parallelism(), n)
 	errs := make([]error, n)
-	if o.Observer != nil {
-		o.Observer.FanOut(n)
-	}
-	// done counts completions (not indices), so the "[k/n]" prefix doubles
-	// as a progress bar; the wall-clock is reporting-only (progress lines
-	// and the observer's latency digest) and never reaches simulation
-	// state or an emitted table.
+	// done counts completions (not indices), so the "[k/n]" prefix of the
+	// -v lines doubles as a progress bar; their wall-clock is display
+	// only and never reaches simulation state or an emitted table.
 	var done atomic.Int64
 	cell := func(i int) {
-		//ivlint:allow determinism — per-cell wall-clock is progress reporting only, never reaches simulation state
+		//ivlint:allow determinism — the -v line's wall-clock is display only, never reaches simulation state
 		start := time.Now()
-		errs[i] = runOne(fn, i)
-		k := done.Add(1)
-		//ivlint:allow determinism — per-cell wall-clock is progress reporting only, never reaches simulation state
-		dur := time.Since(start)
-		if o.Observer != nil {
-			o.Observer.CellDone(dur, errs[i] != nil)
-		}
-		if o.Progress != nil {
-			o.progress("[%d/%d] cell %d done in %s", k, n, i, dur.Round(time.Millisecond))
-		}
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			cell(i)
-		}
-		return errors.Join(errs...)
+		errs[i] = fn(i)
+		//ivlint:allow determinism — the -v line's wall-clock is display only, never reaches simulation state
+		o.progress("[%d/%d] cell %d done in %s", done.Add(1), n, i, time.Since(start).Round(time.Millisecond))
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -125,16 +115,6 @@ func (o *Options) forEach(n int, fn func(i int) error) error {
 	close(idx)
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// runOne invokes fn(i), converting a panic into an error.
-func runOne(fn func(i int) error, i int) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("figures: run %d panicked: %v", i, r)
-		}
-	}()
-	return fn(i)
 }
 
 // benchmarkNames returns every benchmark name in sorted order (the map
@@ -159,7 +139,7 @@ func aloneIPCs(o *Options) (map[string]float64, error) {
 		cfg := o.Cfg
 		key := sweep.CellKey{Kind: "alone", Scheme: config.SchemeBaseline.String(), Unit: names[i], Config: &cfg}
 		ipc, outcome, err := sweepCell(o, key, func(ctx context.Context) (float64, error) {
-			return runAlone(&cfg, p, ctx)
+			return sim.RunAlone(&cfg, config.SchemeBaseline, p, sim.WithContext(ctx))
 		})
 		if outcome == sweep.OutcomeDegraded {
 			return fmt.Errorf("figures: alone run %s is a required denominator: %w", names[i], err)
@@ -179,15 +159,6 @@ func aloneIPCs(o *Options) (map[string]float64, error) {
 		out[name] = vals[i]
 	}
 	return out, nil
-}
-
-// runAlone is sim.RunAlone with an optional cancellation context.
-func runAlone(cfg *config.Config, prof workload.Profile, ctx context.Context) (float64, error) {
-	var opts []sim.MachineOption
-	if ctx != nil {
-		opts = append(opts, sim.WithContext(ctx))
-	}
-	return sim.RunAlone(cfg, config.SchemeBaseline, prof, opts...)
 }
 
 // mixSchemeJob is one (mix, scheme) simulation of a fan-out.
@@ -229,17 +200,17 @@ func runMixSchemes(o *Options, jobs []mixSchemeJob, deriveCfg func(mixSchemeJob)
 	return out, nil
 }
 
-// mixCell runs one (mix, scheme) simulation, through the sweep cache when
-// one is attached. A contained per-cell failure (timeout, simulation
-// error within the failure budget) comes back as a synthetic degraded
-// Result, which the tables render as "deg" — the sweep keeps going.
+// mixCell runs one (mix, scheme) simulation cell. Armed fault injection
+// and trace export have effects a cached result cannot reproduce, so
+// those cells never touch the cache. A contained per-cell failure
+// (timeout, simulation error within the failure budget) comes back as a
+// synthetic degraded Result, which the tables render as "deg" — the
+// sweep keeps going.
 func (o *Options) mixCell(tag string, cfg *config.Config, job mixSchemeJob) (sim.Result, error) {
-	key := sweep.CellKey{Kind: "mix", Extra: tag, Scheme: job.scheme.String(), Unit: job.mix.Name, Config: cfg}
+	key := sweep.CellKey{Kind: "mix", Extra: tag, Scheme: job.scheme.String(), Unit: job.mix.Name, Config: cfg,
+		NoCache: o.Inject != nil || o.TraceDir != ""}
 	res, outcome, err := sweepCell(o, key, func(ctx context.Context) (sim.Result, error) {
-		opts := o.Inject.MachineOptions()
-		if ctx != nil {
-			opts = append(opts, sim.WithContext(ctx))
-		}
+		opts := append(o.Inject.MachineOptions(), sim.WithContext(ctx))
 		var tracer *telemetry.Tracer
 		if o.TraceDir != "" {
 			tracer = telemetry.NewTracer(0, o.TraceSample)
@@ -249,7 +220,7 @@ func (o *Options) mixCell(tag string, cfg *config.Config, job mixSchemeJob) (sim
 		if err != nil {
 			return sim.Result{}, err
 		}
-		if ctx != nil && r.Failed {
+		if r.Failed {
 			if cerr := ctx.Err(); cerr != nil {
 				// The failure is (or is masked by) the cell's cancellation:
 				// surface it as an error so the engine never caches a
@@ -270,25 +241,11 @@ func (o *Options) mixCell(tag string, cfg *config.Config, job mixSchemeJob) (sim
 	return res, err
 }
 
-// cellBypass reports whether simulation cells must skip the sweep cache:
-// armed fault injection and per-run trace export have effects a cached
-// result cannot reproduce, so those runs always simulate (the exact
-// pre-cache path).
-func (o *Options) cellBypass() bool {
-	return o.Sweep == nil || o.Inject != nil || o.TraceDir != ""
-}
-
-// sweepCell routes one cell through Options.Sweep: cache hit, fresh run
-// (persisted immediately), degraded containment, or fatal abort. With no
-// engine attached (or under cellBypass) it runs the body directly with a
-// nil context — the exact uncached code path.
+// sweepCell runs one cell through Options.Sweep: cache hit, fresh run
+// (persisted immediately when the engine has a cache), degraded
+// containment, or fatal abort.
 func sweepCell[T any](o *Options, key sweep.CellKey, run func(ctx context.Context) (T, error)) (T, sweep.Outcome, error) {
 	var v T
-	if o.cellBypass() {
-		var err error
-		v, err = run(nil)
-		return v, sweep.OutcomeRan, err
-	}
 	outcome, err := o.Sweep.Cell(key, &v, func(ctx context.Context) error {
 		r, err := run(ctx)
 		if err != nil {

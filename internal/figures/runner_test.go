@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -9,11 +10,21 @@ import (
 	"testing"
 
 	"ivleague/internal/sim"
+	"ivleague/internal/sweep"
 )
+
+// prepared returns o after prepare, as every figure entry point does.
+func prepared(t *testing.T, o *Options) *Options {
+	t.Helper()
+	if err := o.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
 
 func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, par := range []int{1, 2, 8, 100} {
-		o := &Options{Parallelism: par}
+		o := prepared(t, &Options{Parallelism: par})
 		const n = 37
 		var hits [n]int32
 		if err := o.forEach(n, func(i int) error {
@@ -31,7 +42,7 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 }
 
 func TestForEachJoinsErrorsInIndexOrder(t *testing.T) {
-	o := &Options{Parallelism: 4}
+	o := prepared(t, &Options{Parallelism: 4})
 	var ran int32
 	err := o.forEach(10, func(i int) error {
 		atomic.AddInt32(&ran, 1)
@@ -53,23 +64,36 @@ func TestForEachJoinsErrorsInIndexOrder(t *testing.T) {
 	}
 }
 
+// TestForEachRecoversPanics: a cell body that panics becomes that cell's
+// error, and every other cell of the fan-out still runs.
 func TestForEachRecoversPanics(t *testing.T) {
-	o := &Options{Parallelism: 3}
+	o := prepared(t, &Options{Parallelism: 3})
+	var ran atomic.Int32
 	err := o.forEach(5, func(i int) error {
-		if i == 3 {
-			panic("figure bug")
-		}
-		return nil
+		key := sweep.CellKey{Kind: "test", Unit: fmt.Sprint(i)}
+		_, _, err := sweepCell(o, key, func(context.Context) (int, error) {
+			ran.Add(1)
+			if i == 3 {
+				panic("figure bug")
+			}
+			return i, nil
+		})
+		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "figure bug") {
 		t.Fatalf("panic not converted to error: %v", err)
+	}
+	if !strings.Contains(err.Error(), "test 3") {
+		t.Fatalf("error does not name the panicking cell: %v", err)
+	}
+	if ran.Load() != 5 {
+		t.Fatalf("only %d/5 cells ran after a panic", ran.Load())
 	}
 }
 
 func TestSyncWriterKeepsLinesIntact(t *testing.T) {
 	var buf bytes.Buffer
-	o := &Options{Parallelism: 8, Progress: &buf}
-	o.lockProgress()
+	o := prepared(t, &Options{Parallelism: 8, Progress: &buf})
 	if err := o.forEach(200, func(i int) error {
 		o.progress("line %d of a progress report", i)
 		return nil
@@ -97,10 +121,10 @@ func TestSyncWriterKeepsLinesIntact(t *testing.T) {
 		t.Fatalf("got %d fn lines and %d completion lines, want 200 each", fnLines, cellLines)
 	}
 	// Wrapping twice must not double-lock.
-	w := o.Progress
-	o.lockProgress()
-	if o.Progress != w {
-		t.Fatal("lockProgress is not idempotent")
+	w, e := o.Progress, o.Sweep
+	prepared(t, o)
+	if o.Progress != w || o.Sweep != e {
+		t.Fatal("prepare is not idempotent")
 	}
 }
 

@@ -1,14 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ivleague/internal/telemetry"
 )
@@ -115,67 +113,6 @@ func TestSanitizeMetricName(t *testing.T) {
 	}
 }
 
-func TestProgressTracker(t *testing.T) {
-	p := NewProgress()
-	r := p.Report(-1)
-	if r.TotalCells != 0 || r.DoneCells != 0 || r.ETASec != -1 {
-		t.Fatalf("fresh tracker report: %+v", r)
-	}
-
-	p.FanOut(10)
-	p.FanOut(5) // totals are cumulative across fan-outs
-	for i := 0; i < 6; i++ {
-		p.CellDone(time.Duration(i+1)*10*time.Millisecond, i == 3)
-	}
-	r = p.Report(2)
-	if r.TotalCells != 15 || r.DoneCells != 6 || r.FailedCells != 1 {
-		t.Fatalf("counts: %+v", r)
-	}
-	if r.DegradedCells != 2 {
-		t.Fatalf("degraded passthrough: %+v", r)
-	}
-	if r.Latency.Count != 6 || r.Latency.MaxMs != 60 {
-		t.Fatalf("latency digest: %+v", r.Latency)
-	}
-	if r.Latency.P50Ms < 10 || r.Latency.P50Ms > 60 {
-		t.Fatalf("p50 out of observed range: %+v", r.Latency)
-	}
-	if r.ElapsedSec < 0 {
-		t.Fatalf("elapsed: %+v", r)
-	}
-	// 6 completions within this test's microseconds: the rolling rate is
-	// huge but finite, and the ETA must be a non-negative number.
-	if r.CellsPerSec < 0 || math.IsNaN(r.CellsPerSec) || math.IsInf(r.CellsPerSec, 0) {
-		t.Fatalf("rate: %+v", r)
-	}
-	if r.ETASec != -1 && r.ETASec < 0 {
-		t.Fatalf("eta: %+v", r)
-	}
-
-	// A nil tracker is a valid observer (server without progress source).
-	var nilP *Progress
-	nilP.FanOut(3)
-	nilP.CellDone(time.Second, false)
-}
-
-func TestProgressRegister(t *testing.T) {
-	p := NewProgress()
-	p.FanOut(4)
-	p.CellDone(20*time.Millisecond, false)
-	reg := telemetry.NewRegistry()
-	p.Register(reg)
-	snap := reg.Snapshot()
-	if got := snap.Gauge("progress.cells.total"); got != 4 {
-		t.Fatalf("total gauge = %v", got)
-	}
-	if got := snap.Gauge("progress.cells.done"); got != 1 {
-		t.Fatalf("done gauge = %v", got)
-	}
-	if got := snap.Gauge("progress.cell_latency.p50_ms"); got != 20 {
-		t.Fatalf("p50 gauge = %v", got)
-	}
-}
-
 func TestCPUProfileGuard(t *testing.T) {
 	var g CPUProfileGuard
 	if owner(&g) != "" {
@@ -210,15 +147,10 @@ func TestServerEndpoints(t *testing.T) {
 	hits.Store(99)
 	reg.RegisterGauge("test.hits", func() float64 { return float64(hits.Load()) })
 
-	prog := NewProgress()
-	prog.FanOut(3)
-	prog.CellDone(10*time.Millisecond, false)
-
 	guard := &CPUProfileGuard{}
 	srv, err := StartServer(ServerConfig{
 		Addr:     "127.0.0.1:0",
 		Snapshot: reg.Snapshot,
-		Progress: func() ProgressReport { return prog.Report(-1) },
 		Profiles: guard,
 	})
 	if err != nil {
@@ -255,16 +187,10 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics missing gauge:\n%s", body)
 	}
 
-	code, body, ctype = get("/progress")
-	if code != 200 || ctype != "application/json" {
-		t.Fatalf("/progress: %d %q", code, ctype)
-	}
-	var rep ProgressReport
-	if err := json.Unmarshal([]byte(body), &rep); err != nil {
-		t.Fatalf("/progress not JSON: %v\n%s", err, body)
-	}
-	if rep.TotalCells != 3 || rep.DoneCells != 1 {
-		t.Fatalf("/progress content: %+v", rep)
+	// With no progress source the endpoint is absent (sweep's
+	// TestProgressServed covers the served document).
+	if code, _, _ := get("/progress"); code != http.StatusNotFound {
+		t.Fatalf("/progress without a source: %d, want 404", code)
 	}
 
 	if code, _, _ := get("/debug/pprof/"); code != 200 {

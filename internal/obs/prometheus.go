@@ -1,14 +1,13 @@
 // Package obs is the performance-observability plane: it turns the
 // telemetry layer's pull-based metrics into consumable surfaces — a live
 // HTTP control server (/metrics in Prometheus text exposition, /progress
-// as JSON, /healthz, net/http/pprof) and a concurrent sweep-progress
-// tracker with rolling-rate ETAs. Host-time benchmarking lives in the
+// as JSON, /healthz, net/http/pprof). The sweep progress it serves is
+// recorded by sweep.Metrics. Host-time benchmarking lives in the
 // separate simbench module (simbench/README.md), not here.
 //
 // Nothing in this package reaches simulation state: every surface reads
-// snapshots (telemetry.Snapshot, ProgressReport) that the owning
-// goroutine publishes, so attaching the plane to a run cannot perturb
-// its results.
+// snapshots (telemetry.Snapshot, a progress report) that their owners
+// publish, so attaching the plane to a run cannot perturb its results.
 package obs
 
 import (

@@ -49,7 +49,7 @@ func (g *CPUProfileGuard) Release() {
 }
 
 // ServerConfig wires a Server's surfaces. Nil sources disable their
-// endpoint (404), so one server type covers ivbench (sweep metrics +
+// endpoint (404), so one server type covers ivbench (sweep metrics and
 // progress) and ivsim (published machine snapshots, no progress).
 type ServerConfig struct {
 	// Addr is the listen address (":9090", "127.0.0.1:0", ...).
@@ -58,15 +58,16 @@ type ServerConfig struct {
 	// it must be safe for concurrent use — a locked telemetry.Registry
 	// over atomic-backed sources, or a Publisher's Latest.
 	Snapshot func() telemetry.Snapshot
-	// Progress supplies /progress.
-	Progress func() ProgressReport
+	// Progress supplies the JSON document served at /progress (ivbench
+	// serves sweep.Metrics.Progress). Like Snapshot it is called on
+	// server goroutines.
+	Progress func() any
 	// Profiles guards /debug/pprof/profile against a concurrently active
 	// -cpuprofile file; nil leaves the endpoint unguarded.
 	Profiles *CPUProfileGuard
 }
 
-// Server is the live observability endpoint of a running harness — the
-// seed of the future ivd daemon's control surface.
+// Server is the live observability endpoint of a running harness.
 type Server struct {
 	lis  net.Listener
 	srv  *http.Server

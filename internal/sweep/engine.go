@@ -5,12 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"ivleague/internal/stats"
-	"ivleague/internal/telemetry"
 )
 
 // JournalName is the journal's filename inside a cache directory.
@@ -20,92 +16,11 @@ const JournalName = "journal.jsonl"
 // more cells have persistently failed than MaxCellFailures allows.
 var ErrFailureBudget = errors.New("sweep: cell failure budget exhausted")
 
-// Metrics counts what a sweep did. All fields are atomic so concurrent
-// workers can bump them without locks; Register publishes them into a
-// telemetry.Registry so sweep reports ride the same observability layer
-// as the simulator's own counters.
-type Metrics struct {
-	Hits          atomic.Uint64 // cells answered from the cache
-	Misses        atomic.Uint64 // cells that had to simulate
-	Corrupt       atomic.Uint64 // cache entries rejected (truncated/garbage/version)
-	WriteRetries  atomic.Uint64 // transient cache-write I/O retries
-	WriteFailures atomic.Uint64 // cache writes abandoned after all retries
-	Degraded      atomic.Uint64 // cells contained as degraded after persistent failure
-	Canceled      atomic.Uint64 // cells abandoned by a sweep interrupt
-
-	// latMu guards latMs: simulated-cell wall-clock latencies (one
-	// sample per cell that actually ran, cache hits excluded — they
-	// would drown the simulation-cost signal in ~0ms samples). The
-	// histogram is lock-protected rather than atomic so readers get
-	// consistent quantiles while workers observe.
-	latMu sync.Mutex
-	latMs *stats.Histogram
-}
-
-// cellLatMaxMs bounds the latency histogram at one bucket per
-// millisecond up to a minute; slower cells land in the overflow bucket
-// and quantiles report cellLatMaxMs+1.
-const cellLatMaxMs = 60_000
-
-// ObserveCellLatency records one simulated cell's wall-clock duration.
-func (m *Metrics) ObserveCellLatency(d time.Duration) {
-	m.latMu.Lock()
-	if m.latMs == nil {
-		m.latMs = stats.NewHistogram(cellLatMaxMs)
-	}
-	m.latMs.Observe(int(d.Milliseconds()))
-	m.latMu.Unlock()
-}
-
-// CellLatency digests the simulated-cell latency distribution in
-// milliseconds: sample count, mean, median and tail.
-func (m *Metrics) CellLatency() (count uint64, meanMs float64, p50, p99 int) {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	if m.latMs == nil {
-		return 0, 0, 0, 0
-	}
-	return m.latMs.Count(), m.latMs.Mean(), m.latMs.Quantile(0.50), m.latMs.Quantile(0.99)
-}
-
-// Register publishes every counter as a gauge in r under sweep.cache.*
-// and sweep.cell.* names.
-func (m *Metrics) Register(r *telemetry.Registry) {
-	gauge := func(name string, v *atomic.Uint64) {
-		r.RegisterGauge(name, func() float64 { return float64(v.Load()) })
-	}
-	gauge("sweep.cache.hits", &m.Hits)
-	gauge("sweep.cache.misses", &m.Misses)
-	gauge("sweep.cache.corrupt", &m.Corrupt)
-	gauge("sweep.cache.write_retries", &m.WriteRetries)
-	gauge("sweep.cache.write_failures", &m.WriteFailures)
-	gauge("sweep.cell.degraded", &m.Degraded)
-	gauge("sweep.cell.canceled", &m.Canceled)
-	// The latency histogram publishes through a sampler so its quantiles
-	// are computed under the lock at snapshot time, like the raw gauges.
-	r.RegisterSampler(func(s *telemetry.Sample) {
-		count, mean, p50, p99 := m.CellLatency()
-		s.Counter("sweep.cell.latency_ms.count", count)
-		s.Gauge("sweep.cell.latency_ms.mean", mean)
-		s.Gauge("sweep.cell.latency_ms.p50", float64(p50))
-		s.Gauge("sweep.cell.latency_ms.p99", float64(p99))
-	})
-}
-
-// Summary renders a one-line report of the sweep's cache behaviour,
-// including the simulated-cell latency digest when any cell ran.
-func (m *Metrics) Summary() string {
-	s := fmt.Sprintf("sweep: %d cached, %d simulated, %d degraded, %d corrupt entries dropped, %d write retries",
-		m.Hits.Load(), m.Misses.Load(), m.Degraded.Load(), m.Corrupt.Load(), m.WriteRetries.Load())
-	if count, mean, p50, p99 := m.CellLatency(); count > 0 {
-		s += fmt.Sprintf(", cell latency p50/p99/mean %dms/%dms/%.0fms", p50, p99, mean)
-	}
-	return s
-}
-
 // EngineConfig configures a sweep engine.
 type EngineConfig struct {
-	// Dir is the cache directory (objects/ store + journal).
+	// Dir is the cache directory (objects/ store + journal). Empty runs
+	// every cell with no cache and no journal: nothing is fingerprinted
+	// and no object is read or written.
 	Dir string
 	// CellTimeout bounds one cell's simulation; 0 disables the bound. A
 	// timed-out cell counts against the failure budget and is rendered
@@ -113,22 +28,24 @@ type EngineConfig struct {
 	CellTimeout time.Duration
 	// MaxCellFailures is how many persistently failing cells a sweep
 	// tolerates (journaled as failed, rendered as degraded entries)
-	// before aborting; negative means unlimited.
+	// before aborting; negative means unlimited, 0 aborts on the first.
 	MaxCellFailures int
 	// Ctx, when non-nil, interrupts the sweep: in-flight cells observe
 	// the cancellation (the simulator polls it), are drained without
 	// being cached, and the engine reports fatal outcomes so the caller
 	// can checkpoint and exit with a resume hint.
 	Ctx context.Context
-	// Metrics receives the counters; nil allocates a private set.
+	// Metrics receives the run's record; nil allocates a private set.
 	Metrics *Metrics
 }
 
-// Engine coordinates cached, fault-contained sweep cells. It is safe for
-// concurrent use by the figure harness's worker pool.
+// Engine runs every cell of a harness run: it contains and times each
+// one, records it in Metrics, and, when it has a cache, answers and
+// persists cells by fingerprint. It is safe for concurrent use by the
+// figure harness's worker pool.
 type Engine struct {
-	cache   *Cache
-	journal *Journal
+	cache   *Cache   // nil: no cache
+	journal *Journal // nil exactly when cache is
 	metrics *Metrics
 	ctx     context.Context
 
@@ -141,50 +58,63 @@ type Engine struct {
 	grace time.Duration
 }
 
-// NewEngine opens the cache and journal under cfg.Dir.
+// NewEngine builds an engine, opening the cache and journal under cfg.Dir
+// when it is set.
 func NewEngine(cfg EngineConfig) (*Engine, error) {
-	cache, err := OpenCache(cfg.Dir)
-	if err != nil {
-		return nil, err
-	}
-	journal, err := OpenJournal(filepath.Join(cfg.Dir, JournalName))
-	if err != nil {
-		return nil, err
-	}
-	m := cfg.Metrics
-	if m == nil {
-		m = &Metrics{}
-	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &Engine{
-		cache:       cache,
-		journal:     journal,
-		metrics:     m,
-		ctx:         ctx,
+	e := &Engine{
+		metrics:     cfg.Metrics,
+		ctx:         cfg.Ctx,
 		cellTimeout: cfg.CellTimeout,
 		maxFailures: cfg.MaxCellFailures,
 		grace:       2 * time.Second,
-	}, nil
+	}
+	if e.metrics == nil {
+		e.metrics = &Metrics{}
+	}
+	if e.ctx == nil {
+		e.ctx = context.Background()
+	}
+	if cfg.Dir != "" {
+		var err error
+		if e.cache, err = OpenCache(cfg.Dir); err != nil {
+			return nil, err
+		}
+		if e.journal, err = OpenJournal(filepath.Join(cfg.Dir, JournalName)); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
 }
+
+// Announce records in Metrics that a fan-out of n more cells is
+// starting; the worker pool calls it before running them.
+func (e *Engine) Announce(n int) { e.metrics.announce(n) }
 
 // Interrupted reports whether the sweep's context has been canceled.
 func (e *Engine) Interrupted() bool { return e.ctx.Err() != nil }
 
 // Checkpoint fsyncs the journal (the SIGINT/SIGTERM drain path).
-func (e *Engine) Checkpoint() error { return e.journal.Checkpoint() }
+func (e *Engine) Checkpoint() error {
+	if e.journal == nil {
+		return nil
+	}
+	return e.journal.Checkpoint()
+}
 
 // Close checkpoints and closes the journal.
-func (e *Engine) Close() error { return e.journal.Close() }
+func (e *Engine) Close() error {
+	if e.journal == nil {
+		return nil
+	}
+	return e.journal.Close()
+}
 
 // Outcome classifies what Cell did.
 type Outcome int
 
 const (
-	// OutcomeRan: the cell simulated and its result is in dst (and, barring
-	// a persistent write failure, in the cache).
+	// OutcomeRan: the cell simulated and its result is in dst (and, for a
+	// cached cell barring a persistent write failure, in the cache).
 	OutcomeRan Outcome = iota
 	// OutcomeHit: dst was decoded from the cache; nothing simulated.
 	OutcomeHit
@@ -216,32 +146,49 @@ func (o Outcome) String() string {
 // configured timeout under the sweep context, persist the result
 // immediately, and contain persistent failures. run must fill dst on
 // success; on a cache hit dst is decoded from the stored entry instead.
-func (e *Engine) Cell(key CellKey, dst any, run func(ctx context.Context) error) (Outcome, error) {
+// Without a cache, or for a NoCache key, the cell always runs and
+// nothing is fingerprinted, journaled or persisted; containment, the
+// failure budget and the record in Metrics are the same either way.
+func (e *Engine) Cell(key CellKey, dst any, run func(ctx context.Context) error) (outcome Outcome, err error) {
+	defer func() { e.metrics.cellDone(err != nil) }()
 	if err := e.ctx.Err(); err != nil {
 		return OutcomeFatal, fmt.Errorf("sweep: interrupted before %s: %w", key.Label(), err)
 	}
-	fp, err := key.Fingerprint()
-	if err != nil {
-		return OutcomeFatal, err
+	cached := e.cache != nil && !key.NoCache
+	var fp string
+	note := func(event string, cause error) error {
+		if !cached {
+			return nil
+		}
+		rec := Record{Event: event, Fingerprint: fp, Label: key.Label()}
+		if cause != nil {
+			rec.Err = cause.Error()
+		}
+		return e.journal.Append(rec)
 	}
-	hit, corrupt := e.cache.Get(fp, dst)
-	if corrupt {
-		// Never trust a partial entry: drop it (Get already removed the
-		// object), count it, and re-simulate as a plain miss.
-		e.metrics.Corrupt.Add(1)
-		if err := e.journal.Append(Record{Event: "corrupt", Fingerprint: fp, Label: key.Label()}); err != nil {
+	if cached {
+		if fp, err = key.Fingerprint(); err != nil {
 			return OutcomeFatal, err
 		}
-	}
-	if hit {
-		e.metrics.Hits.Add(1)
-		if err := e.journal.Append(Record{Event: "hit", Fingerprint: fp, Label: key.Label()}); err != nil {
-			return OutcomeFatal, err
+		hit, corrupt := e.cache.Get(fp, dst)
+		if corrupt {
+			// Never trust a partial entry: drop it (Get already removed
+			// the object), count it, and re-simulate as a plain miss.
+			e.metrics.Corrupt.Add(1)
+			if err := note("corrupt", nil); err != nil {
+				return OutcomeFatal, err
+			}
 		}
-		return OutcomeHit, nil
+		if hit {
+			e.metrics.Hits.Add(1)
+			if err := note("hit", nil); err != nil {
+				return OutcomeFatal, err
+			}
+			return OutcomeHit, nil
+		}
 	}
 	e.metrics.Misses.Add(1)
-	if err := e.journal.Append(Record{Event: "start", Fingerprint: fp, Label: key.Label()}); err != nil {
+	if err := note("start", nil); err != nil {
 		return OutcomeFatal, err
 	}
 
@@ -255,28 +202,29 @@ func (e *Engine) Cell(key CellKey, dst any, run func(ctx context.Context) error)
 	// it never reaches a cached result or a table.
 	simStart := time.Now()
 	runErr := e.runContained(key, cctx, run)
-	e.metrics.ObserveCellLatency(time.Since(simStart))
+	e.metrics.observeLatency(time.Since(simStart))
 
 	if e.ctx.Err() != nil {
-		// Sweep-level interrupt: the cell is neither done nor failed.
+		// Sweep-level interrupt: journaled as neither done nor failed.
 		e.metrics.Canceled.Add(1)
-		if err := e.journal.Append(Record{Event: "interrupted", Fingerprint: fp, Label: key.Label()}); err != nil {
+		if err := note("interrupted", nil); err != nil {
 			return OutcomeFatal, err
 		}
 		return OutcomeFatal, fmt.Errorf("sweep: interrupted during %s: %w", key.Label(), e.ctx.Err())
 	}
 	if runErr == nil {
+		if !cached {
+			return OutcomeRan, nil
+		}
 		retries, putErr := e.cache.Put(fp, key, dst)
 		e.metrics.WriteRetries.Add(uint64(retries))
-		rec := Record{Event: "done", Fingerprint: fp, Label: key.Label()}
 		if putErr != nil {
 			// The in-memory result is still good; a sweep that cannot
 			// persist keeps going and simply cannot skip this cell on
 			// resume.
 			e.metrics.WriteFailures.Add(1)
-			rec.Err = putErr.Error()
 		}
-		if err := e.journal.Append(rec); err != nil {
+		if err := note("done", putErr); err != nil {
 			return OutcomeFatal, err
 		}
 		return OutcomeRan, nil
@@ -285,7 +233,7 @@ func (e *Engine) Cell(key CellKey, dst any, run func(ctx context.Context) error)
 	// Persistent per-cell failure (simulation error, panic, or timeout):
 	// journal it and degrade unless the budget is spent.
 	e.metrics.Degraded.Add(1)
-	if err := e.journal.Append(Record{Event: "failed", Fingerprint: fp, Label: key.Label(), Err: runErr.Error()}); err != nil {
+	if err := note("failed", runErr); err != nil {
 		return OutcomeFatal, err
 	}
 	if n := e.failures.Add(1); e.maxFailures >= 0 && n > int64(e.maxFailures) {

@@ -1,8 +1,10 @@
 // Package sweep is the crash-safe, resumable sweep engine behind the
-// figure harness: every simulation cell — one (mix, scheme) run, one
-// alone run, one Figure-22 Monte-Carlo point — is keyed by a sha256
-// fingerprint of its complete inputs and its result is persisted to a
-// content-addressed on-disk cache the moment it completes, via atomic
+// figure harness: every figure cell — one (mix, scheme) run, one alone
+// run, one Figure-3 attack run, one Figure-22 Monte-Carlo point — runs
+// through its Engine, which contains the cell and records it in Metrics.
+// With a cache directory, each cell is keyed by a sha256 fingerprint of
+// its complete inputs and its result is persisted to a content-addressed
+// on-disk cache the moment it completes, via atomic
 // write-temp-then-rename. A sweep killed at any point (SIGKILL included)
 // and restarted against the same cache directory emits byte-identical
 // tables to an uninterrupted run, re-simulating only the cells whose
@@ -38,7 +40,7 @@ const Version = "ivleague-sweep-v1"
 // must be guaranteed to produce identical payloads; everything a cell's
 // result depends on therefore belongs in the key.
 type CellKey struct {
-	// Kind is the cell class: "alone", "mix", or "fig22".
+	// Kind is the cell class: "alone", "mix", "fig3" or "fig22".
 	Kind string
 	// Scheme is the secure-memory scheme label ("" when not applicable).
 	Scheme string
@@ -52,6 +54,10 @@ type CellKey struct {
 	// encoded (deterministic JSON: struct fields in declaration order, no
 	// maps) into the fingerprint. Typically a *config.Config.
 	Config any
+	// NoCache marks a cell whose effects a cached result cannot
+	// reproduce (armed fault injection, trace export): it always runs,
+	// and is never fingerprinted, journaled or persisted.
+	NoCache bool
 }
 
 // Fingerprint returns the cell's content address: a sha256 over the

@@ -23,8 +23,8 @@ type Journal struct {
 
 // Record is one journal line.
 type Record struct {
-	// Event is one of "sweep-start", "hit", "start", "done", "failed",
-	// "interrupted".
+	// Event is one of "sweep-start", "corrupt", "hit", "start", "done",
+	// "failed", "interrupted".
 	Event       string `json:"event"`
 	Fingerprint string `json:"fp,omitempty"`
 	Label       string `json:"label,omitempty"`

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +15,8 @@ import (
 	"time"
 
 	"ivleague/internal/config"
+	"ivleague/internal/obs"
+	"ivleague/internal/stats"
 	"ivleague/internal/telemetry"
 )
 
@@ -348,12 +353,86 @@ func TestEngineDegradesWithinBudgetThenAborts(t *testing.T) {
 	}
 }
 
+// TestEngineContainsPanics: a panicking cell becomes that cell's error,
+// and the engine goes on running other cells.
 func TestEngineContainsPanics(t *testing.T) {
 	e := newTestEngine(t, EngineConfig{MaxCellFailures: 5})
 	var v int
 	out, err := e.Cell(testKey("S-1"), &v, func(context.Context) error { panic("kaboom") })
 	if out != OutcomeDegraded || err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not contained: %v %v", out, err)
+	}
+	if !strings.Contains(err.Error(), testKey("S-1").Label()) {
+		t.Fatalf("error does not name the panicking cell: %v", err)
+	}
+	out, err = e.Cell(testKey("S-2"), &v, func(context.Context) error { v = 3; return nil })
+	if out != OutcomeRan || err != nil || v != 3 {
+		t.Fatalf("cell after a panic: %v %v v=%d", out, err, v)
+	}
+}
+
+// TestEngineWithoutCache covers the engine every uncached run uses: each
+// cell runs (a repeat is never a hit), nothing is written, and with the
+// zero failure budget the first failure is fatal and names its cell.
+func TestEngineWithoutCache(t *testing.T) {
+	m := &Metrics{}
+	e, err := NewEngine(EngineConfig{Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	for i := 0; i < 2; i++ {
+		var v int
+		out, err := e.Cell(testKey("S-1"), &v, func(context.Context) error { runs++; v = 4; return nil })
+		if out != OutcomeRan || err != nil || v != 4 {
+			t.Fatalf("pass %d: %v %v v=%d", i, out, err, v)
+		}
+	}
+	if runs != 2 || m.Hits.Load() != 0 || m.Misses.Load() != 2 {
+		t.Fatalf("runs=%d hits=%d misses=%d, want 2/0/2", runs, m.Hits.Load(), m.Misses.Load())
+	}
+	var v int
+	out, err := e.Cell(testKey("S-2"), &v, func(context.Context) error { return errors.New("boom") })
+	if out != OutcomeFatal || err == nil || !strings.Contains(err.Error(), testKey("S-2").Label()) {
+		t.Fatalf("uncached failure: %v %v", out, err)
+	}
+	if p := m.Progress(); p.DoneCells != 3 || p.FailedCells != 1 || p.Latency.Count != 3 {
+		t.Fatalf("record: %+v", p)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEngineNoCacheKey: a NoCache cell on a cached engine runs every
+// time and leaves no object and no journal record behind.
+func TestEngineNoCacheKey(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, EngineConfig{Dir: dir})
+	key := testKey("S-1")
+	key.NoCache = true
+	runs := 0
+	for i := 0; i < 2; i++ {
+		var v int
+		if out, err := e.Cell(key, &v, func(context.Context) error { runs++; return nil }); out != OutcomeRan || err != nil {
+			t.Fatalf("pass %d: %v %v", i, out, err)
+		}
+	}
+	if runs != 2 || e.cache.Len() != 0 {
+		t.Fatalf("runs=%d cached objects=%d, want 2 and 0", runs, e.cache.Len())
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := ReadJournal(filepath.Join(dir, JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != (Summary{Sweeps: 1}) {
+		t.Fatalf("NoCache cells were journaled: %+v", sum)
 	}
 }
 
@@ -471,6 +550,126 @@ func TestMetricsRegisterPublishesGauges(t *testing.T) {
 	}
 	if got := snap.Gauge("sweep.cell.degraded"); got != 1 {
 		t.Fatalf("sweep.cell.degraded = %v", got)
+	}
+}
+
+func TestProgressTracker(t *testing.T) {
+	var m Metrics
+	r := m.Progress()
+	if r.TotalCells != 0 || r.DoneCells != 0 || r.ETASec != -1 {
+		t.Fatalf("fresh record report: %+v", r)
+	}
+
+	m.announce(10)
+	m.announce(5) // totals are cumulative across fan-outs
+	for i := 0; i < 6; i++ {
+		m.observeLatency(time.Duration(i+1) * 10 * time.Millisecond)
+		m.cellDone(i == 3)
+	}
+	m.Degraded.Add(2)
+	r = m.Progress()
+	if r.TotalCells != 15 || r.DoneCells != 6 || r.FailedCells != 1 {
+		t.Fatalf("counts: %+v", r)
+	}
+	if r.DegradedCells != 2 {
+		t.Fatalf("degraded count: %+v", r)
+	}
+	if r.Latency.Count != 6 || r.Latency.MaxMs != 60 {
+		t.Fatalf("latency digest: %+v", r.Latency)
+	}
+	if r.Latency.P50Ms < 10 || r.Latency.P50Ms > 60 {
+		t.Fatalf("p50 out of observed range: %+v", r.Latency)
+	}
+	if r.ElapsedSec < 0 {
+		t.Fatalf("elapsed: %+v", r)
+	}
+	// 6 completions within this test's microseconds: the rolling rate is
+	// huge but finite, and the ETA must be a non-negative number.
+	if r.CellsPerSec < 0 || math.IsNaN(r.CellsPerSec) || math.IsInf(r.CellsPerSec, 0) {
+		t.Fatalf("rate: %+v", r)
+	}
+	if r.ETASec != -1 && r.ETASec < 0 {
+		t.Fatalf("eta: %+v", r)
+	}
+}
+
+func TestProgressRegister(t *testing.T) {
+	var m Metrics
+	m.announce(4)
+	m.observeLatency(20 * time.Millisecond)
+	m.cellDone(false)
+	reg := telemetry.NewRegistry()
+	m.Register(reg)
+	snap := reg.Snapshot()
+	if got := snap.Gauge("sweep.cell.announced"); got != 4 {
+		t.Fatalf("announced gauge = %v", got)
+	}
+	if got := snap.Gauge("sweep.cell.done"); got != 1 {
+		t.Fatalf("done gauge = %v", got)
+	}
+	if got := snap.Gauge("sweep.cell.latency_ms.p50"); got != 20 {
+		t.Fatalf("p50 gauge = %v", got)
+	}
+}
+
+// TestProgressServed checks the /progress endpoint serving the record:
+// JSON with the documented field names and the record's counts.
+func TestProgressServed(t *testing.T) {
+	var m Metrics
+	m.announce(3)
+	m.observeLatency(10 * time.Millisecond)
+	m.cellDone(false)
+	srv, err := obs.StartServer(obs.ServerConfig{
+		Addr:     "127.0.0.1:0",
+		Progress: func() any { return m.Progress() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL() + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctype := resp.Header.Get("Content-Type"); resp.StatusCode != 200 || ctype != "application/json" {
+		t.Fatalf("/progress: %d %q", resp.StatusCode, ctype)
+	}
+	var rep ProgressReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatalf("/progress not JSON: %v\n%s", err, body)
+	}
+	if rep.TotalCells != 3 || rep.DoneCells != 1 {
+		t.Fatalf("/progress content: %+v", rep)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var latency map[string]json.RawMessage
+	if err := json.Unmarshal(fields["cell_latency"], &latency); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		doc  map[string]json.RawMessage
+		want []string
+	}{
+		{fields, []string{"total_cells", "done_cells", "failed_cells", "degraded_cells", "elapsed_sec", "cells_per_sec", "eta_sec", "cell_latency"}},
+		{latency, []string{"count", "mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"}},
+	} {
+		if len(c.doc) != len(c.want) {
+			t.Fatalf("/progress fields %v, want %v", stats.SortedKeys(c.doc), c.want)
+		}
+		for _, k := range c.want {
+			if _, ok := c.doc[k]; !ok {
+				t.Fatalf("/progress lacks %q:\n%s", k, body)
+			}
+		}
 	}
 }
 
