@@ -13,6 +13,7 @@ import (
 	"ivleague/internal/config"
 	"ivleague/internal/layout"
 	"ivleague/internal/secmem"
+	"ivleague/internal/telemetry"
 )
 
 func main() {
@@ -76,12 +77,13 @@ func main() {
 	fmt.Printf("page 5 now verified by %v (τhot? %v)\n", slotAfter, ivc.IsHotSlot(slotAfter))
 
 	// Compare verification path lengths: hot page vs cold page, with
-	// cold metadata caches.
+	// cold metadata caches. Resetting the registry clears the path-length
+	// histograms along with every counter.
+	reg := telemetry.NewRegistry()
+	mem.RegisterMetrics(reg, "secmem")
 	pathLen := func(v uint64) int {
 		mem.FlushMetadata()
-		before := mem.PathLen[1]
-		_ = before
-		mem.ResetStats()
+		reg.Reset()
 		if _, err := mem.Do(secmem.AccessRequest{
 			Now: now, Domain: 1, VPN: layout.VPN(v), PFN: layout.PFN(v),
 		}); err != nil {

@@ -298,14 +298,6 @@ func (c *Cache) Flush() int {
 	return dirty
 }
 
-// ResetStats clears the counters but keeps cache contents (used at the end
-// of warmup).
-func (c *Cache) ResetStats() {
-	c.Hits.Reset()
-	c.Misses.Reset()
-	c.Evictions.Reset()
-}
-
 // RegisterMetrics registers the cache's counters with a telemetry registry
 // under "<prefix>.hits" / ".misses" / ".evictions"; Snapshot.HitRate then
 // derives the hit rate every consumer previously hand-computed.

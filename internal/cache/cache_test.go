@@ -223,11 +223,11 @@ func TestHitRateAndReset(t *testing.T) {
 	if hr := r.Snapshot().HitRate("c"); hr != 0.5 {
 		t.Fatalf("hit rate %v", hr)
 	}
-	c.ResetStats()
+	r.Reset()
 	if c.Hits.Value() != 0 || c.Misses.Value() != 0 {
-		t.Fatal("ResetStats did not clear counters")
+		t.Fatal("registry reset did not clear counters")
 	}
 	if !probe(c, 0) {
-		t.Fatal("ResetStats cleared contents")
+		t.Fatal("registry reset cleared contents")
 	}
 }

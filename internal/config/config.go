@@ -140,9 +140,6 @@ type CoreConfig struct {
 	Count       int
 	BaseCPI     float64 // CPI of non-memory instructions
 	MLP         float64 // fraction of memory latency hidden by overlap [0,1)
-	L1Latency   int
-	L2Latency   int
-	L3Latency   int
 	TLBEntries  int
 	PTWalkCost  int // cycles per page-table level on a TLB miss (cache-resident walk)
 	TLBPenality int // fixed TLB-miss handling overhead
@@ -153,7 +150,6 @@ type CryptoConfig struct {
 	AESLatency  int // counter-mode pad generation, cycles
 	MACLatency  int // MAC check/generate, cycles
 	HashLatency int // one tree-node hash, cycles
-	MACBytes    int // MAC size per block
 }
 
 // SecureMemConfig describes the scheme-independent secure-memory metadata.
@@ -161,7 +157,6 @@ type SecureMemConfig struct {
 	CounterCache CacheConfig // encryption-counter cache
 	TreeCache    CacheConfig // integrity-tree metadata cache
 	TreeArity    int         // hashes per tree node (8-ary BMT)
-	MajorBits    int         // major counter width
 	MinorBits    int         // minor counter width
 }
 
@@ -243,9 +238,6 @@ func Default() Config {
 			Count:       8,
 			BaseCPI:     0.5,
 			MLP:         0.7,
-			L1Latency:   4,
-			L2Latency:   14,
-			L3Latency:   40,
 			TLBEntries:  1024,
 			PTWalkCost:  20,
 			TLBPenality: 10,
@@ -264,12 +256,11 @@ func Default() Config {
 			RowMissLatency:  160,
 			QueuePenalty:    4,
 		},
-		Crypto: CryptoConfig{AESLatency: 20, MACLatency: 20, HashLatency: 20, MACBytes: 8},
+		Crypto: CryptoConfig{AESLatency: 20, MACLatency: 20, HashLatency: 20},
 		SecureMem: SecureMemConfig{
 			CounterCache: CacheConfig{SizeBytes: 256 << 10, Ways: 8, LineBytes: BlockBytes, HitLatency: 5, Randomized: true},
 			TreeCache:    CacheConfig{SizeBytes: 256 << 10, Ways: 8, LineBytes: BlockBytes, HitLatency: 5, Randomized: true},
 			TreeArity:    8,
-			MajorBits:    64,
 			MinorBits:    7,
 		},
 		IvLeague: IvLeagueConfig{

@@ -212,13 +212,6 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// ResetStats clears the increment/overflow counters, keeping the counter
-// blocks themselves (they are architectural state, not statistics).
-func (s *Store) ResetStats() {
-	s.Increments.Reset()
-	s.Overflows.Reset()
-}
-
 // RegisterMetrics registers the store's counters with a telemetry registry.
 func (s *Store) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".increments", &s.Increments)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ivleague/internal/config"
+	"ivleague/internal/telemetry"
 )
 
 func testCfg() config.DRAMConfig {
@@ -87,6 +88,8 @@ func TestChannelInterleavingByBlock(t *testing.T) {
 
 func TestStatsAndReset(t *testing.T) {
 	m := New(testCfg())
+	r := telemetry.NewRegistry()
+	m.RegisterMetrics(r, "dram")
 	m.Access(0, 0, false)
 	m.Access(100, 64, false)
 	if n := m.Reads.Value() + m.Writes.Value(); n != 2 {
@@ -95,7 +98,7 @@ func TestStatsAndReset(t *testing.T) {
 	if m.TotalLatency.Value() == 0 {
 		t.Fatal("read latency not tracked")
 	}
-	m.ResetStats()
+	r.Reset()
 	if m.Reads.Value()+m.Writes.Value() != 0 || m.TotalLatency.Value() != 0 {
 		t.Fatal("reset failed")
 	}

@@ -217,8 +217,8 @@ func (w *Workbench) Apply(class Class) (*Injection, error) {
 		return nil, fmt.Errorf("%w: class %s does not apply to %v", ErrNoTarget, class, w.Scheme)
 	}
 	c := w.C
-	lay := c.Layout()
 	inj := &Injection{Class: class}
+	var err error
 	switch class {
 	case ClassDataBit:
 		inj.ref = w.pickBlock()
@@ -266,62 +266,88 @@ func (w *Workbench) Apply(class Class) (*Injection, error) {
 
 	case ClassTreeNode:
 		inj.ref = w.pickBlock()
-		garbage := w.r.Uint64() | 1
-		if f := c.Forest(); f != nil {
-			slot, ok := c.SlotOf(inj.ref.pfn)
-			if !ok {
-				return nil, fmt.Errorf("%w: pfn %d has no slot", ErrNoTarget, inj.ref.pfn)
-			}
-			f.Corrupt(slot.TreeLing(), slot.Node(), slot.Slot(), garbage)
-			inj.Desc = fmt.Sprintf("overwrite TreeLing %d node %d slot %d", slot.TreeLing(), slot.Node(), slot.Slot())
-			return inj, nil
-		}
-		idx := lay.GlobalNodeIndex(inj.ref.pfn, 1)
-		slot := int(uint64(inj.ref.pfn) % uint64(lay.Arity))
-		c.GlobalTree().Corrupt(1, idx, slot, garbage)
-		inj.Desc = fmt.Sprintf("overwrite global node L1/%d slot %d", idx, slot)
-		return inj, nil
-
+		inj.Desc, err = corruptTreeNode(c, inj.ref.pfn, w.r)
 	case ClassLMM:
 		inj.ref = w.pickBlock()
-		slot, ok := c.SlotOf(inj.ref.pfn)
-		if !ok {
-			return nil, fmt.Errorf("%w: pfn %d has no LMM entry", ErrNoTarget, inj.ref.pfn)
-		}
-		forgedNode := (slot.Node() + 1 + w.r.Intn(lay.NodesPerTreeLing-1)) % lay.NodesPerTreeLing
-		forged := core.MakeSlot(slot.TreeLing(), forgedNode, slot.Slot())
-		if _, err := c.TamperLMM(inj.ref.pfn, forged); err != nil {
-			return nil, err
-		}
-		inj.Desc = fmt.Sprintf("forge LMM of pfn %d: %v -> %v", inj.ref.pfn, slot, forged)
-		return inj, nil
-
+		inj.Desc, err = forgeLMM(c, inj.ref.pfn, w.r)
 	case ClassNFLSet, ClassNFLClear:
-		set := class == ClassNFLSet
-		pick := w.r.Uint64()
-		for _, off := range w.r.Perm(len(w.domains)) {
-			dom := w.domains[off]
-			if tl, node, s, ok := c.IvLeague().TamperNFLAvail(dom, set, pick); ok {
-				inj.nflDomain = dom
-				inj.Desc = fmt.Sprintf("flip avail (set=%v) of TreeLing %d node %d slot %d, domain %d", set, tl, node, s, dom)
-				return inj, nil
-			}
-		}
-		return nil, fmt.Errorf("%w: no NFL candidate (set=%v)", ErrNoTarget, set)
-
+		inj.nflDomain, inj.Desc, err = flipNFLAvail(c, w.domains, class == ClassNFLSet, w.r)
 	case ClassScratchNode:
-		un := c.IvLeague().UnassignedTreeLings()
-		if len(un) == 0 {
-			return nil, fmt.Errorf("%w: no unassigned TreeLing", ErrNoTarget)
-		}
-		tl := un[w.r.Intn(len(un))]
-		node := w.r.Intn(lay.NodesPerTreeLing)
-		slot := w.r.Intn(lay.Arity)
-		c.Forest().Corrupt(tl, node, slot, w.r.Uint64()|1)
-		inj.Desc = fmt.Sprintf("scribble on unassigned TreeLing %d node %d slot %d", tl, node, slot)
-		return inj, nil
+		inj.Desc, err = scribbleScratch(c, w.r)
+	default:
+		return nil, fmt.Errorf("faults: unknown class %q", class)
 	}
-	return nil, fmt.Errorf("faults: unknown class %q", class)
+	if err != nil {
+		return nil, err
+	}
+	return inj, nil
+}
+
+// The metadata classes below land the same way on the workbench and on a
+// live machine; only the choice of victim page and domain set differs.
+// Each draws from r in a fixed order, so reports replay exactly.
+
+// corruptTreeNode overwrites the tree slot holding page pfn's counter-block
+// hash: its TreeLing slot under IvLeague, its level-1 global slot
+// otherwise.
+func corruptTreeNode(c *secmem.Controller, pfn layout.PFN, r *rng.Source) (string, error) {
+	garbage := r.Uint64() | 1
+	if f := c.Forest(); f != nil {
+		slot, ok := c.SlotOf(pfn)
+		if !ok {
+			return "", fmt.Errorf("%w: pfn %d has no slot", ErrNoTarget, pfn)
+		}
+		f.Corrupt(slot.TreeLing(), slot.Node(), slot.Slot(), garbage)
+		return fmt.Sprintf("overwrite TreeLing %d node %d slot %d", slot.TreeLing(), slot.Node(), slot.Slot()), nil
+	}
+	lay := c.Layout()
+	idx := lay.GlobalNodeIndex(pfn, 1)
+	slot := int(uint64(pfn) % uint64(lay.Arity))
+	c.GlobalTree().Corrupt(1, idx, slot, garbage)
+	return fmt.Sprintf("overwrite global node L1/%d slot %d", idx, slot), nil
+}
+
+// forgeLMM points page pfn's leaf-mapping entry at another node of its
+// TreeLing.
+func forgeLMM(c *secmem.Controller, pfn layout.PFN, r *rng.Source) (string, error) {
+	slot, ok := c.SlotOf(pfn)
+	if !ok {
+		return "", fmt.Errorf("%w: pfn %d has no LMM entry", ErrNoTarget, pfn)
+	}
+	n := c.Layout().NodesPerTreeLing
+	forged := core.MakeSlot(slot.TreeLing(), (slot.Node()+1+r.Intn(n-1))%n, slot.Slot())
+	if _, err := c.TamperLMM(pfn, forged); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("forge LMM of pfn %d: %v -> %v", pfn, slot, forged), nil
+}
+
+// flipNFLAvail flips one NFL availability bit (set re-offers an occupied
+// slot, clear hides a free one) in the first domain, in a random order,
+// that has a candidate. It returns that domain.
+func flipNFLAvail(c *secmem.Controller, domains []int, set bool, r *rng.Source) (int, string, error) {
+	pick := r.Uint64()
+	for _, off := range r.Perm(len(domains)) {
+		dom := domains[off]
+		if tl, node, s, ok := c.IvLeague().TamperNFLAvail(dom, set, pick); ok {
+			return dom, fmt.Sprintf("flip avail (set=%v) of TreeLing %d node %d slot %d, domain %d", set, tl, node, s, dom), nil
+		}
+	}
+	return 0, "", fmt.Errorf("%w: no NFL candidate (set=%v)", ErrNoTarget, set)
+}
+
+// scribbleScratch overwrites a random slot of an unassigned TreeLing.
+func scribbleScratch(c *secmem.Controller, r *rng.Source) (string, error) {
+	un := c.IvLeague().UnassignedTreeLings()
+	if len(un) == 0 {
+		return "", fmt.Errorf("%w: no unassigned TreeLing", ErrNoTarget)
+	}
+	lay := c.Layout()
+	tl := un[r.Intn(len(un))]
+	node := r.Intn(lay.NodesPerTreeLing)
+	slot := r.Intn(lay.Arity)
+	c.Forest().Corrupt(tl, node, slot, r.Uint64()|1)
+	return fmt.Sprintf("scribble on unassigned TreeLing %d node %d slot %d", tl, node, slot), nil
 }
 
 // Report is the outcome of one inject-and-detect cycle.

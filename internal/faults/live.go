@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"ivleague/internal/config"
-	"ivleague/internal/core"
 	"ivleague/internal/rng"
 	"ivleague/internal/secmem"
 	"ivleague/internal/sim"
@@ -35,7 +34,6 @@ func ApplyLive(c *secmem.Controller, class Class, seed uint64) (string, error) {
 		return "", fmt.Errorf("%w: class %s does not apply to %v", ErrNoTarget, class, c.Scheme())
 	}
 	r := rng.New(seed).ForkString("faults-live")
-	lay := c.Layout()
 	switch class {
 	case ClassCounter:
 		// Valid targets are exactly the materialized counter blocks (pages
@@ -52,65 +50,23 @@ func ApplyLive(c *secmem.Controller, class Class, seed uint64) (string, error) {
 		}
 		return fmt.Sprintf("bump minor counter of pfn %d block %d", pfn, blk), nil
 
-	case ClassTreeNode:
+	case ClassTreeNode, ClassLMM:
 		pages := c.MappedPages()
 		if len(pages) == 0 {
 			return "", fmt.Errorf("%w: no mapped pages", ErrNoTarget)
 		}
 		p := pages[r.Intn(len(pages))]
-		garbage := r.Uint64() | 1
-		if f := c.Forest(); f != nil {
-			slot, ok := c.SlotOf(p.PFN)
-			if !ok {
-				return "", fmt.Errorf("%w: pfn %d has no slot", ErrNoTarget, p.PFN)
-			}
-			f.Corrupt(slot.TreeLing(), slot.Node(), slot.Slot(), garbage)
-			return fmt.Sprintf("overwrite TreeLing %d node %d slot %d", slot.TreeLing(), slot.Node(), slot.Slot()), nil
+		if class == ClassTreeNode {
+			return corruptTreeNode(c, p.PFN, r)
 		}
-		idx := lay.GlobalNodeIndex(p.PFN, 1)
-		slot := int(uint64(p.PFN) % uint64(lay.Arity))
-		c.GlobalTree().Corrupt(1, idx, slot, garbage)
-		return fmt.Sprintf("overwrite global node L1/%d slot %d", idx, slot), nil
-
-	case ClassLMM:
-		pages := c.MappedPages()
-		if len(pages) == 0 {
-			return "", fmt.Errorf("%w: no mapped pages", ErrNoTarget)
-		}
-		p := pages[r.Intn(len(pages))]
-		slot, ok := c.SlotOf(p.PFN)
-		if !ok {
-			return "", fmt.Errorf("%w: pfn %d has no LMM entry", ErrNoTarget, p.PFN)
-		}
-		forgedNode := (slot.Node() + 1 + r.Intn(lay.NodesPerTreeLing-1)) % lay.NodesPerTreeLing
-		forged := core.MakeSlot(slot.TreeLing(), forgedNode, slot.Slot())
-		if _, err := c.TamperLMM(p.PFN, forged); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("forge LMM of pfn %d: %v -> %v", p.PFN, slot, forged), nil
+		return forgeLMM(c, p.PFN, r)
 
 	case ClassNFLSet, ClassNFLClear:
-		set := class == ClassNFLSet
-		pick := r.Uint64()
-		ids := c.IvLeague().DomainIDs()
-		for _, off := range r.Perm(len(ids)) {
-			dom := ids[off]
-			if tl, node, s, ok := c.IvLeague().TamperNFLAvail(dom, set, pick); ok {
-				return fmt.Sprintf("flip avail (set=%v) of TreeLing %d node %d slot %d, domain %d", set, tl, node, s, dom), nil
-			}
-		}
-		return "", fmt.Errorf("%w: no NFL candidate (set=%v)", ErrNoTarget, set)
+		_, desc, err := flipNFLAvail(c, c.IvLeague().DomainIDs(), class == ClassNFLSet, r)
+		return desc, err
 
 	case ClassScratchNode:
-		un := c.IvLeague().UnassignedTreeLings()
-		if len(un) == 0 {
-			return "", fmt.Errorf("%w: no unassigned TreeLing", ErrNoTarget)
-		}
-		tl := un[r.Intn(len(un))]
-		node := r.Intn(lay.NodesPerTreeLing)
-		slot := r.Intn(lay.Arity)
-		c.Forest().Corrupt(tl, node, slot, r.Uint64()|1)
-		return fmt.Sprintf("scribble on unassigned TreeLing %d node %d slot %d", tl, node, slot), nil
+		return scribbleScratch(c, r)
 	}
 	return "", fmt.Errorf("%w: class %s needs the workbench data plane", ErrNoTarget, class)
 }

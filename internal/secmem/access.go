@@ -94,11 +94,7 @@ func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layou
 				Level: c.lay.LevelOf(slot.Node()), Node: slot.Node(),
 			})
 		}
-		if c.forest != nil {
-			// Fresh pages verify against their zero counter block.
-			c.forest.SetSlot(slot.TreeLing(), slot.Node(), slot.Slot(),
-				tree.CounterBlockHash(pfn, c.counters.Snapshot(pfn)))
-		}
+		c.rehashCounters(pfn, slot) // fresh pages verify against their zero counter block
 		return lat, nil
 	case c.scheme == config.SchemeStaticPartition:
 		lo, hi := c.PartitionRange(domain)
@@ -109,14 +105,10 @@ func (c *Controller) OnPageMap(now uint64, domain int, vpn layout.VPN, pfn layou
 			c.SwapPenalties.Inc()
 			lat = c.cfg.DRAM.RowMissLatency * 64
 		}
-		if c.global != nil {
-			c.global.Update(pfn, c.counters.Snapshot(pfn))
-		}
+		c.rehashCounters(pfn, core.InvalidSlot)
 		return lat, nil
 	default:
-		if c.global != nil {
-			c.global.Update(pfn, c.counters.Snapshot(pfn))
-		}
+		c.rehashCounters(pfn, core.InvalidSlot)
 		return 0, nil
 	}
 }
@@ -166,10 +158,22 @@ func (c *Controller) OnPageUnmap(now uint64, domain int, vpn layout.VPN, pfn lay
 		}
 		return lat, err
 	}
-	if c.global != nil {
+	c.rehashCounters(pfn, core.InvalidSlot)
+	return 0, nil
+}
+
+// rehashCounters stores the hash of page pfn's counter block in the
+// functional tree and rehashes up to the root: in the page's TreeLing slot
+// when it has one, in the global tree otherwise. Without functional mode
+// there is no tree and nothing to do.
+func (c *Controller) rehashCounters(pfn layout.PFN, slot core.SlotID) {
+	switch {
+	case c.forest != nil && slot != core.InvalidSlot:
+		c.forest.SetSlot(slot.TreeLing(), slot.Node(), slot.Slot(),
+			tree.CounterBlockHash(pfn, c.counters.Snapshot(pfn)))
+	case c.global != nil:
 		c.global.Update(pfn, c.counters.Snapshot(pfn))
 	}
-	return 0, nil
 }
 
 // Do models one LLC-miss memory transaction through the secure-memory
@@ -355,13 +359,7 @@ func (c *Controller) secureWrite(now uint64, domain int, pfn layout.PFN, block i
 	// Functional hash maintenance.
 	if c.functional {
 		cyT := c.phases.Start()
-		snap := c.counters.Snapshot(pfn)
-		if c.forest != nil && slot != core.InvalidSlot {
-			c.forest.SetSlot(slot.TreeLing(), slot.Node(), slot.Slot(),
-				tree.CounterBlockHash(pfn, snap))
-		} else if c.global != nil {
-			c.global.Update(pfn, snap)
-		}
+		c.rehashCounters(pfn, slot)
 		c.phases.End(telemetry.PhaseCrypto, cyT)
 	}
 	return lat, nil

@@ -404,9 +404,10 @@ func (c *Controller) SetPhaseTimers(t *telemetry.PhaseTimers) { c.phases = t }
 // RegisterMetrics registers every statistic the controller and its
 // subcomponents maintain — DRAM, the metadata caches, the counter store,
 // the domain controller (with per-domain NFLB counters), the LMM cache,
-// the functional trees and the per-domain path-length histograms — and a
-// reset hook equivalent to ResetStats, so Registry.Reset is the single
-// warmup boundary and a new stat source cannot be forgotten.
+// the functional trees and the per-domain path-length histograms — so
+// Registry.Reset is the single warmup boundary: it zeroes the registered
+// counters, and reset hooks clear only what is not a registered counter
+// (here the path-length histograms, in core the per-domain NFLB counters).
 func (c *Controller) RegisterMetrics(r *telemetry.Registry, prefix string) {
 	r.RegisterCounter(prefix+".data_reads", &c.DataReads)
 	r.RegisterCounter(prefix+".data_writes", &c.DataWrites)
@@ -440,7 +441,7 @@ func (c *Controller) RegisterMetrics(r *telemetry.Registry, prefix string) {
 			s.Gauge(base+".mean", h.Mean())
 		}
 	})
-	r.RegisterReset(c.ResetStats)
+	r.RegisterReset(func() { c.PathLen = make(map[int]*stats.Histogram) })
 }
 
 // pathHist returns the per-domain verification path histogram.
@@ -451,35 +452,4 @@ func (c *Controller) pathHist(domain int) *stats.Histogram {
 		c.PathLen[domain] = h
 	}
 	return h
-}
-
-// ResetStats clears statistics (end of warmup) without touching state.
-// Every subsystem with stats accessors is covered — DRAM, both metadata
-// caches, the LMM cache, the counter store and the domain controller
-// (including per-domain NFLB hit/miss counters) — so post-warmup figures
-// measure only the measurement window.
-func (c *Controller) ResetStats() {
-	c.dram.ResetStats()
-	c.counterCache.ResetStats()
-	c.treeCache.ResetStats()
-	if c.lmm != nil {
-		c.lmm.Stats().ResetStats()
-	}
-	c.counters.ResetStats()
-	if c.ivc != nil {
-		c.ivc.ResetStats()
-	}
-	c.DataReads.Reset()
-	c.DataWrites.Reset()
-	c.Verifications.Reset()
-	c.Overflows.Reset()
-	c.SwapPenalties.Reset()
-	c.TamperEvents.Reset()
-	if c.forest != nil {
-		c.forest.ResetStats()
-	}
-	if c.global != nil {
-		c.global.ResetStats()
-	}
-	c.PathLen = make(map[int]*stats.Histogram)
 }

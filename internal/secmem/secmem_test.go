@@ -386,10 +386,12 @@ func TestEvictMetadataPrimitive(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	c := newCtl(t, config.SchemeIvLeagueBasic, false)
+	r := telemetry.NewRegistry()
+	c.RegisterMetrics(r, "secmem")
 	c.CreateDomain(1)
 	mapPage(t, c, 1, 1, 1)
 	c.Do(AccessRequest{Domain: 1, VPN: 1, PFN: 1})
-	c.ResetStats()
+	r.Reset()
 	if c.DataReads.Value() != 0 || c.dram.Reads.Value()+c.dram.Writes.Value() != 0 || len(c.PathLen) != 0 {
 		t.Fatal("stats not reset")
 	}
@@ -477,58 +479,65 @@ func TestSlotIDInvalidForBaseline(t *testing.T) {
 	_ = core.InvalidSlot
 }
 
+// pathLenDomains is the fingerprint entry for the per-domain path-length
+// histograms: the one statistic that is not a registered counter, cleared
+// by the controller's reset hook instead.
+const pathLenDomains = "secmem.pathlen domains"
+
 // statsFingerprint reads every statistics accessor the controller and its
-// subsystems expose, keyed by name so an equivalence failure names the
-// stale counter.
+// subsystems expose, keyed by the name the controller registers it under
+// with prefix "secmem", so an equivalence failure names the stale counter.
 func statsFingerprint(c *Controller) map[string]uint64 {
 	fp := map[string]uint64{
-		"secmem.DataReads":      c.DataReads.Value(),
-		"secmem.DataWrites":     c.DataWrites.Value(),
-		"secmem.Verifications":  c.Verifications.Value(),
-		"secmem.Overflows":      c.Overflows.Value(),
-		"secmem.SwapPenalties":  c.SwapPenalties.Value(),
-		"secmem.TamperEvents":   c.TamperEvents.Value(),
-		"secmem.PathLenDomains": uint64(len(c.PathLen)),
-		"dram.Reads":            c.dram.Reads.Value(),
-		"dram.Writes":           c.dram.Writes.Value(),
-		"dram.RowHits":          c.dram.RowHits.Value(),
-		"dram.RowMisses":        c.dram.RowMisses.Value(),
-		"dram.TotalLatency":     c.dram.TotalLatency.Value(),
-		"ctrCache.Hits":         c.counterCache.Hits.Value(),
-		"ctrCache.Misses":       c.counterCache.Misses.Value(),
-		"ctrCache.Evictions":    c.counterCache.Evictions.Value(),
-		"treeCache.Hits":        c.treeCache.Hits.Value(),
-		"treeCache.Misses":      c.treeCache.Misses.Value(),
-		"treeCache.Evictions":   c.treeCache.Evictions.Value(),
-		"ctr.Increments":        c.counters.Increments.Value(),
-		"ctr.Overflows":         c.counters.Overflows.Value(),
+		"secmem.data_reads":           c.DataReads.Value(),
+		"secmem.data_writes":          c.DataWrites.Value(),
+		"secmem.verifications":        c.Verifications.Value(),
+		"secmem.overflows":            c.Overflows.Value(),
+		"secmem.swap_penalties":       c.SwapPenalties.Value(),
+		"secmem.tamper_events":        c.TamperEvents.Value(),
+		pathLenDomains:                uint64(len(c.PathLen)),
+		"secmem.dram.reads":           c.dram.Reads.Value(),
+		"secmem.dram.writes":          c.dram.Writes.Value(),
+		"secmem.dram.row_hits":        c.dram.RowHits.Value(),
+		"secmem.dram.row_misses":      c.dram.RowMisses.Value(),
+		"secmem.dram.read_latency":    c.dram.TotalLatency.Value(),
+		"secmem.ctr_cache.hits":       c.counterCache.Hits.Value(),
+		"secmem.ctr_cache.misses":     c.counterCache.Misses.Value(),
+		"secmem.ctr_cache.evictions":  c.counterCache.Evictions.Value(),
+		"secmem.tree_cache.hits":      c.treeCache.Hits.Value(),
+		"secmem.tree_cache.misses":    c.treeCache.Misses.Value(),
+		"secmem.tree_cache.evictions": c.treeCache.Evictions.Value(),
+		"secmem.ctr.increments":       c.counters.Increments.Value(),
+		"secmem.ctr.overflows":        c.counters.Overflows.Value(),
 	}
 	if c.lmm != nil {
 		s := c.lmm.Stats()
-		fp["lmm.Hits"] = s.Hits.Value()
-		fp["lmm.Misses"] = s.Misses.Value()
-		fp["lmm.Evictions"] = s.Evictions.Value()
+		fp["secmem.lmm.hits"] = s.Hits.Value()
+		fp["secmem.lmm.misses"] = s.Misses.Value()
+		fp["secmem.lmm.evictions"] = s.Evictions.Value()
 	}
 	if c.ivc != nil {
-		fp["core.Assignments"] = c.ivc.Assignments.Value()
-		fp["core.Untracked"] = c.ivc.Untracked.Value()
-		fp["core.Conversions"] = c.ivc.Conversions.Value()
-		fp["core.Migrations"] = c.ivc.Migrations.Value()
-		fp["core.MigrationsBack"] = c.ivc.MigrationsBack.Value()
-		fp["core.AllocFailures"] = c.ivc.AllocFailures.Value()
+		fp["secmem.core.assignments"] = c.ivc.Assignments.Value()
+		fp["secmem.core.untracked_slots"] = c.ivc.Untracked.Value()
+		fp["secmem.core.conversions"] = c.ivc.Conversions.Value()
+		fp["secmem.core.migrations"] = c.ivc.Migrations.Value()
+		fp["secmem.core.migrations_back"] = c.ivc.MigrationsBack.Value()
+		fp["secmem.core.alloc_failures"] = c.ivc.AllocFailures.Value()
 		for _, id := range c.ivc.DomainIDs() {
 			nflb := c.ivc.NFLBOf(id)
-			fp[fmt.Sprintf("core.nflb[%d].Hits", id)] = nflb.Hits.Value()
-			fp[fmt.Sprintf("core.nflb[%d].Misses", id)] = nflb.Misses.Value()
+			fp[fmt.Sprintf("secmem.core.nflb.d%d.hits", id)] = nflb.Hits.Value()
+			fp[fmt.Sprintf("secmem.core.nflb.d%d.misses", id)] = nflb.Misses.Value()
 		}
 	}
 	return fp
 }
 
-// TestResetStatsEquivalentToFresh is the end-of-warmup contract: after
-// ResetStats, every statistics accessor must read as on a freshly
-// constructed controller — zero. Any counter added to a subsystem without
-// a matching ResetStats entry fails here by name, for every scheme.
+// TestResetStatsEquivalentToFresh is the end-of-warmup contract: after a
+// Reset of the registry the controller registered into, every statistics
+// accessor must read as on a freshly constructed controller — zero — and
+// before it, every fingerprinted counter must read the same through the
+// registry's snapshot. A counter added to a subsystem but not registered
+// fails here by name, for every scheme.
 func TestResetStatsEquivalentToFresh(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
@@ -538,6 +547,8 @@ func TestResetStatsEquivalentToFresh(t *testing.T) {
 				}
 			}
 			c := newCtl(t, scheme, false)
+			r := telemetry.NewRegistry()
+			c.RegisterMetrics(r, "secmem")
 			for dom := 1; dom <= 2; dom++ {
 				if err := c.CreateDomain(dom); err != nil {
 					t.Fatal(err)
@@ -562,19 +573,28 @@ func TestResetStatsEquivalentToFresh(t *testing.T) {
 				}
 			}
 			dirty := 0
+			snap := r.Snapshot()
 			for name, v := range statsFingerprint(c) {
-				_ = name
 				if v != 0 {
 					dirty++
+				}
+				if name == pathLenDomains {
+					continue
+				}
+				switch got, ok := snap.Counters[name]; {
+				case !ok:
+					t.Errorf("%v: %s is not a registered counter", scheme, name)
+				case got != v:
+					t.Errorf("%v: %s = %d in the snapshot, %d in the component", scheme, name, got, v)
 				}
 			}
 			if dirty < 8 {
 				t.Fatalf("traffic touched only %d stats; the fingerprint is too weak", dirty)
 			}
-			c.ResetStats()
+			r.Reset()
 			for name, v := range statsFingerprint(c) {
 				if v != 0 {
-					t.Errorf("%v: %s = %d after ResetStats, want 0 (fresh-construction equivalence)", scheme, name, v)
+					t.Errorf("%v: %s = %d after the registry reset, want 0 (fresh-construction equivalence)", scheme, name, v)
 				}
 			}
 		})

@@ -359,8 +359,6 @@ func (m *Machine) registerMetrics() {
 			return float64(t.instret - t.instret0)
 		})
 		m.reg.RegisterReset(func() {
-			t.l1.ResetStats()
-			t.l2.ResetStats()
 			t.cycles0 = t.cycles
 			t.instret0 = t.instret
 		})
@@ -490,8 +488,8 @@ func (m *Machine) step(t *thread) error {
 		m.writeback(t, t.l2, r1.WritebackAddr)
 	}
 	if r1.Hit {
-		t.cycles += float64(cc.L1Latency)
-		m.CycBase += float64(cc.L1Latency)
+		t.cycles += float64(m.cfg.L1.HitLatency)
+		m.CycBase += float64(m.cfg.L1.HitLatency)
 		m.traceOp(t, dom, ev.Write, opStart)
 		return nil
 	}
@@ -501,14 +499,14 @@ func (m *Machine) step(t *thread) error {
 	}
 	var missLat float64
 	if r2.Hit {
-		missLat = float64(cc.L2Latency)
+		missLat = float64(m.cfg.L2.HitLatency)
 	} else {
 		r3 := m.l3.Access(addr, false)
 		if r3.EvictedDirty {
 			m.memWriteback(t, r3.WritebackAddr)
 		}
 		if r3.Hit {
-			missLat = float64(cc.L3Latency)
+			missLat = float64(m.cfg.L3.HitLatency)
 		} else {
 			smT := m.phases.Start()
 			res, err := m.mem.Do(secmem.AccessRequest{
@@ -519,11 +517,11 @@ func (m *Machine) step(t *thread) error {
 			if err != nil {
 				return fmt.Errorf("sim: %s: %w", t.bench, err)
 			}
-			missLat = float64(cc.L3Latency) + float64(res.Latency)
+			missLat = float64(m.cfg.L3.HitLatency) + float64(res.Latency)
 		}
 	}
-	t.cycles += float64(cc.L1Latency) + (1-cc.MLP)*missLat
-	m.CycBase += float64(cc.L1Latency)
+	t.cycles += float64(m.cfg.L1.HitLatency) + (1-cc.MLP)*missLat
+	m.CycBase += float64(m.cfg.L1.HitLatency)
 	m.CycMiss += (1 - cc.MLP) * missLat
 	m.traceOp(t, dom, ev.Write, opStart)
 	return nil
@@ -740,9 +738,9 @@ func (m *Machine) Run() Result {
 }
 
 // resetStats marks the warmup→measure boundary: one registry Reset zeroes
-// every registered counter and runs each component's reset hook (secmem,
-// per-core cycle/instret snapshots), replacing the old per-component
-// choreography.
+// every registered counter and runs the reset hooks for the state that is
+// not a registered counter (secmem's path-length histograms, core's
+// per-domain NFLB counters, the per-core cycle/instret snapshots).
 func (m *Machine) resetStats() {
 	m.reg.Reset()
 	m.reg.SetPhase(telemetry.PhaseMeasure)

@@ -100,7 +100,7 @@ func TestSlotStoreZeroDefault(t *testing.T) {
 }
 
 // hasRoot reports whether the on-chip root table has an entry for tl.
-func hasRoot(f *Forest, tl int) bool { return tl < len(f.rootSet) && f.rootSet[tl] }
+func hasRoot(f *Forest, tl int) bool { return f.peek(tl).rooted }
 
 // shadowGlobal is the seed's map-backed global BMT (functional parts only).
 type shadowGlobal struct {
@@ -239,11 +239,32 @@ func randBlock(r *rng.Source) ctr.Block {
 	return b
 }
 
-func TestGlobalArenaMatchesMapShadow(t *testing.T) {
+func TestGlobalArenaMatchesMapShadow(t *testing.T) { globalMatchesShadow(t, 7) }
+
+func TestForestArenaMatchesMapShadow(t *testing.T) { forestMatchesShadow(t, 11) }
+
+// FuzzTreeMatchesShadow runs both differential checks on a fuzzer-chosen
+// seed: any operation sequence the seeded generators can produce must
+// leave the arena trees and their map-backed shadows in agreement.
+func FuzzTreeMatchesShadow(f *testing.F) {
+	f.Add(uint64(7))
+	f.Add(uint64(11))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		globalMatchesShadow(t, seed)
+		forestMatchesShadow(t, seed)
+	})
+}
+
+// globalMatchesShadow drives a Global and its shadow with the same seeded
+// update sequence, checking roots, verify verdicts, the image digest and
+// crash recovery along the way. It returns the arena tree and the last
+// counter block written to each page.
+func globalMatchesShadow(t *testing.T, seed uint64) (*Global, map[uint64]ctr.Block) {
+	t.Helper()
 	lay := layout.New(diffCfg())
 	g := NewGlobal(lay)
 	sh := newShadowGlobal(lay)
-	r := rng.New(7).ForkString("tree-differential-global")
+	r := rng.New(seed).ForkString("tree-differential-global")
 
 	if g.Root() != sh.root {
 		t.Fatalf("empty roots differ: arena %#x shadow %#x", g.Root(), sh.root)
@@ -305,13 +326,19 @@ func TestGlobalArenaMatchesMapShadow(t *testing.T) {
 	if root != sh.root {
 		t.Fatalf("recovered root %#x != shadow root %#x", root, sh.root)
 	}
+	return g, last
 }
 
-func TestForestArenaMatchesMapShadow(t *testing.T) {
+// forestMatchesShadow drives a Forest and its shadow with the same
+// seeded leaf writes and TreeLing resets over TreeLings 0..7, checking
+// roots, verify verdicts, digests and crash recovery along the way. It
+// returns the arena forest.
+func forestMatchesShadow(t *testing.T, seed uint64) *Forest {
+	t.Helper()
 	lay := layout.New(diffCfg())
 	f := NewForest(lay)
 	sh := newShadowForest(lay)
-	r := rng.New(11).ForkString("tree-differential-forest")
+	r := rng.New(seed).ForkString("tree-differential-forest")
 
 	const tls = 8
 	type site struct{ tl, node, slot int }
@@ -379,4 +406,5 @@ func TestForestArenaMatchesMapShadow(t *testing.T) {
 			t.Fatalf("TreeLing %d: recovered root %#x != shadow %#x", tl, f2.Root(tl), want)
 		}
 	}
+	return f
 }

@@ -79,6 +79,14 @@ func (e *IntegrityError) Error() string {
 // callers that match on it (e.g. secmem.ErrMACMismatch).
 func (e *IntegrityError) Unwrap() error { return e.Err }
 
+// Details of the tree layer's violations.
+const (
+	leafMismatch = "stored slot disagrees with leaf hash"
+	pathMismatch = "stored slot disagrees with recomputed path hash"
+	rootMismatch = "top node disagrees with on-chip root"
+	tornLink     = "persisted parent link disagrees with child hash (torn image)"
+)
+
 // newIntegrityError fills the fields common to the tree layer's checks;
 // the domain is unknown down here and left for secmem to stamp.
 func newIntegrityError(class Violation, tl, level, node, slot int, addr uint64, detail string) *IntegrityError {

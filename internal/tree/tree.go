@@ -1,7 +1,14 @@
 // Package tree implements the functional integrity-tree substrate: the
 // global Bonsai Merkle Tree used by the Baseline scheme and the hash
-// forest the IvLeague TreeLings live in, both backed by dense slot arenas
-// addressed with (TreeLing, node, slot) / (level, index, slot) arithmetic.
+// forest the IvLeague TreeLings live in. A TreeLing is a small,
+// statically addressed subtree cut from the global tree, so both are the
+// same k-ary Merkle tree at different heights: one level-indexed core
+// (merkle.go) stores the nodes, rehashes to the root, verifies paths,
+// scans persisted images for torn links, clones and digests. Global is
+// one core tree addressed by page frame; Forest is one core tree per
+// touched TreeLing addressed by top-down node index. Each only maps its
+// coordinates onto the core and turns a failed link into the
+// IntegrityError it reports.
 //
 // The functional layer maintains real (non-cryptographic but strongly
 // mixing) hashes so that tamper-detection semantics can be tested
@@ -34,114 +41,54 @@ func CounterBlockHash(pfn layout.PFN, b ctr.Block) uint64 {
 	return crypto.NodeHash(parts...)
 }
 
-// gchunkShift sizes the global tree's node chunks: 64 nodes per chunk keeps
-// lazy materialization (only touched verification paths cost memory) while
-// a chunk's slots stay one dense array.
-const (
-	gchunkShift = 6
-	gchunkNodes = 1 << gchunkShift
-	gchunkMask  = gchunkNodes - 1
-)
-
-// gchunk is one run of gchunkNodes consecutive nodes of one global-tree
-// level: a dense slot array plus per-node materialization flags. Absent
-// and dropped nodes keep all-zero slots, so reads never need the flag.
-type gchunk struct {
-	slots []uint64 // gchunkNodes * arity
-	has   []bool
-}
-
-// Global is the functional global Bonsai Merkle Tree of the Baseline
-// scheme: statically addressed, built over every page's counter block,
-// with the single root held on-chip. Node storage is a per-level chunked
-// arena indexed by (level, index, slot) arithmetic.
-type Global struct {
-	lay    *layout.Layout
-	arity  int
-	levels [][]*gchunk // [level][chunk]; level 0 unused
-	zero   []uint64    // shared all-zero node, read-only
-	root   uint64      // on-chip root hash
-
-	// Functional-layer statistics (leaf updates and verifications).
-	Updates  stats.Counter
-	Verifies stats.Counter
+// counters are a functional tree's statistics.
+type counters struct {
+	Updates  stats.Counter // leaf updates
+	Verifies stats.Counter // path verifications
 }
 
 // RegisterMetrics registers the tree's functional counters.
-func (g *Global) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	r.RegisterCounter(prefix+".updates", &g.Updates)
-	r.RegisterCounter(prefix+".verifies", &g.Verifies)
+func (c *counters) RegisterMetrics(r *telemetry.Registry, prefix string) {
+	r.RegisterCounter(prefix+".updates", &c.Updates)
+	r.RegisterCounter(prefix+".verifies", &c.Verifies)
 }
 
-// ResetStats clears the functional counters (end-of-warmup boundary).
-func (g *Global) ResetStats() {
-	g.Updates.Reset()
-	g.Verifies.Reset()
-}
-
-// NewGlobal creates the functional global tree for a layout.
-func NewGlobal(lay *layout.Layout) *Global {
-	g := &Global{
-		lay:    lay,
-		arity:  lay.Arity,
-		levels: make([][]*gchunk, lay.GlobalLevels+1),
-		zero:   make([]uint64, lay.Arity),
-	}
-	g.root = g.levelNodeHash(g.lay.GlobalLevels, 0)
-	return g
-}
-
+// globalKey is the global tree's node key in image digests.
 func globalKey(level int, idx uint64) uint64 {
 	return uint64(level)<<56 | idx
 }
 
-// peek returns the chunk holding (level, idx), or nil if untouched.
-func (g *Global) peek(level int, idx uint64) *gchunk {
-	ci := int(idx >> gchunkShift)
-	lv := g.levels[level]
-	if ci >= len(lv) {
-		return nil
-	}
-	return lv[ci]
+// Global is the functional global Bonsai Merkle Tree of the Baseline
+// scheme: statically addressed, built over every page's counter block,
+// with the single root held on-chip. Page pfn's counter-block hash sits in
+// slot pfn%arity of level-1 node pfn/arity.
+type Global struct {
+	counters
+	lay *layout.Layout
+	t   *merkle // visited bottom-up
 }
 
-// ensure returns the chunk holding (level, idx), materializing it.
-func (g *Global) ensure(level int, idx uint64) *gchunk {
-	ci := int(idx >> gchunkShift)
-	for len(g.levels[level]) <= ci {
-		//ivlint:allow hotalloc — lazy chunk-directory growth: bounded by the tree geometry, quiesces after warmup
-		g.levels[level] = append(g.levels[level], nil)
-	}
-	if g.levels[level][ci] == nil {
-		g.levels[level][ci] = &gchunk{
-			slots: make([]uint64, gchunkNodes*g.arity),
-			has:   make([]bool, gchunkNodes),
-		}
-	}
-	return g.levels[level][ci]
+// NewGlobal creates the functional global tree for a layout. Its root
+// register starts at the empty tree's hash.
+func NewGlobal(lay *layout.Layout) *Global {
+	g := &Global{lay: lay, t: newMerkle(lay.Arity, chunkWidths(lay.GlobalLevels, lay.GlobalLevelCount), false)}
+	g.t.setRoot(g.t.zero)
+	return g
 }
 
-func (g *Global) slot(level int, idx uint64, slot int) uint64 {
-	c := g.peek(level, idx)
-	if c == nil {
-		return 0
-	}
-	return c.slots[int(idx&gchunkMask)*g.arity+slot]
+// leaf returns the level-1 slot holding page pfn's counter-block hash:
+// the parent link of counter block pfn, read as level-0 node pfn.
+func (g *Global) leaf(pfn layout.PFN) link {
+	return g.t.parent(0, uint64(pfn))
 }
 
-func (g *Global) setSlot(level int, idx uint64, slot int, h uint64) {
-	c := g.ensure(level, idx)
-	c.has[idx&gchunkMask] = true
-	c.slots[int(idx&gchunkMask)*g.arity+slot] = h
-}
-
-func (g *Global) levelNodeHash(level int, idx uint64) uint64 {
-	c := g.peek(level, idx)
-	if c == nil {
-		return crypto.NodeHash(g.zero...)
+// linkError reports a failed link; Node is the position within the level.
+func (g *Global) linkError(class Violation, l link, detail string) error {
+	addr, err := g.lay.GlobalNodeAddr(l.level, l.pos)
+	if err != nil {
+		addr = 0
 	}
-	off := int(idx&gchunkMask) * g.arity
-	return crypto.NodeHash(c.slots[off : off+g.arity]...)
+	return newIntegrityError(class, -1, l.level, int(l.pos), l.slot, addr, detail)
 }
 
 // Update recomputes the verification path of page pfn after its counter
@@ -150,15 +97,7 @@ func (g *Global) levelNodeHash(level int, idx uint64) uint64 {
 //ivlint:hotpath
 func (g *Global) Update(pfn layout.PFN, blk ctr.Block) {
 	g.Updates.Inc()
-	h := CounterBlockHash(pfn, blk)
-	idx := uint64(pfn)
-	for level := 1; level <= g.lay.GlobalLevels; level++ {
-		slot := int(idx % uint64(g.lay.Arity))
-		idx /= uint64(g.lay.Arity)
-		g.setSlot(level, idx, slot, h)
-		h = g.levelNodeHash(level, idx)
-	}
-	g.root = h
+	g.t.set(g.leaf(pfn), CounterBlockHash(pfn, blk))
 }
 
 // Verify walks page pfn's path from leaf to root and reports whether every
@@ -168,101 +107,41 @@ func (g *Global) Update(pfn layout.PFN, blk ctr.Block) {
 //ivlint:hotpath
 func (g *Global) Verify(pfn layout.PFN, blk ctr.Block) error {
 	g.Verifies.Inc()
-	h := CounterBlockHash(pfn, blk)
-	idx := uint64(pfn)
-	for level := 1; level <= g.lay.GlobalLevels; level++ {
-		slot := int(idx % uint64(g.lay.Arity))
-		idx /= uint64(g.lay.Arity)
-		if got := g.slot(level, idx, slot); got != h {
-			return newIntegrityError(ViolationTreeNode, -1, level, int(idx), slot,
-				g.nodeAddr(level, idx), "stored slot disagrees with recomputed path hash")
-		}
-		h = g.levelNodeHash(level, idx)
+	l, ok := g.t.verify(g.leaf(pfn), CounterBlockHash(pfn, blk))
+	switch {
+	case ok:
+		return nil
+	case l.slot < 0:
+		return g.linkError(ViolationRoot, l, rootMismatch)
 	}
-	if h != g.root {
-		return newIntegrityError(ViolationRoot, -1, g.lay.GlobalLevels, 0, -1,
-			g.nodeAddr(g.lay.GlobalLevels, 0), "top node disagrees with on-chip root")
-	}
-	return nil
-}
-
-func (g *Global) nodeAddr(level int, idx uint64) uint64 {
-	a, err := g.lay.GlobalNodeAddr(level, idx)
-	if err != nil {
-		return 0
-	}
-	return a
+	return g.linkError(ViolationTreeNode, l, pathMismatch)
 }
 
 // Root returns the on-chip root hash.
-func (g *Global) Root() uint64 { return g.root }
+func (g *Global) Root() uint64 { return g.t.root }
 
 // Clone deep-copies the global tree: the persisted node image plus the
 // on-chip root register (which RecoverRoot rebuilds from the image alone).
 func (g *Global) Clone() *Global {
-	c := &Global{
-		lay:    g.lay,
-		arity:  g.arity,
-		levels: make([][]*gchunk, len(g.levels)),
-		zero:   g.zero,
-		root:   g.root,
-	}
-	for level, lv := range g.levels {
-		if lv == nil {
-			continue
-		}
-		c.levels[level] = make([]*gchunk, len(lv))
-		for ci, ch := range lv {
-			if ch == nil {
-				continue
-			}
-			cp := &gchunk{
-				slots: make([]uint64, len(ch.slots)),
-				has:   make([]bool, len(ch.has)),
-			}
-			copy(cp.slots, ch.slots)
-			copy(cp.has, ch.has)
-			c.levels[level][ci] = cp
-		}
-	}
-	return c
+	return &Global{lay: g.lay, t: g.t.clone()}
 }
 
-// forEachNode visits every materialized node in ascending (level, idx)
-// order — the same order the map-backed store's sorted keys produced.
-func (g *Global) forEachNode(fn func(level int, idx uint64)) {
-	for level := 1; level < len(g.levels); level++ {
-		for ci, ch := range g.levels[level] {
-			if ch == nil {
-				continue
-			}
-			for n := 0; n < gchunkNodes; n++ {
-				if ch.has[n] {
-					fn(level, uint64(ci)<<gchunkShift|uint64(n))
-				}
-			}
-		}
-	}
+// RestoreFrom replaces the global tree's node image with a deep copy of
+// img's. The on-chip root register is NOT restored; call RecoverRoot.
+func (g *Global) RestoreFrom(img *Global) {
+	g.t = img.t.clone()
+	g.t.dropRoot()
 }
 
 // VerifyImage checks the internal hash-chain consistency of the persisted
-// node image: every materialized non-top node's hash must equal the slot
-// its parent holds. An inconsistency means the image was torn mid-update.
+// node image, bottom-up: every materialized non-top node's hash must equal
+// the slot its parent holds. An inconsistency means the image was torn
+// mid-update.
 func (g *Global) VerifyImage() error {
-	var verr error
-	g.forEachNode(func(level int, idx uint64) {
-		if verr != nil || level >= g.lay.GlobalLevels {
-			return
-		}
-		pidx := idx / uint64(g.lay.Arity)
-		slot := int(idx % uint64(g.lay.Arity))
-		if g.slot(level+1, pidx, slot) != g.levelNodeHash(level, idx) {
-			verr = newIntegrityError(ViolationTorn, -1, level+1, int(pidx), slot,
-				g.nodeAddr(level+1, pidx),
-				"persisted parent link disagrees with child hash (torn image)")
-		}
-	})
-	return verr
+	if l, torn := g.t.torn(); torn {
+		return g.linkError(ViolationTorn, l, tornLink)
+	}
+	return nil
 }
 
 // RecoverRoot rebuilds the on-chip root register from the persisted top
@@ -271,96 +150,76 @@ func (g *Global) RecoverRoot() (uint64, error) {
 	if err := g.VerifyImage(); err != nil {
 		return 0, err
 	}
-	g.root = g.levelNodeHash(g.lay.GlobalLevels, 0)
-	return g.root, nil
+	g.t.setRoot(g.t.nodeHash(g.t.height(), 0))
+	return g.t.root, nil
 }
 
 // Corrupt overwrites the stored hash at (level, idx, slot) — a physical
 // tamper/replay used by tests and the tamper-detection example.
 func (g *Global) Corrupt(level int, idx uint64, slot int, v uint64) {
-	g.setSlot(level, idx, slot, v)
+	g.t.store(link{level, idx, slot}, v)
 }
 
-// tlArena is one TreeLing's dense node storage: NodesPerTreeLing nodes of
-// arity slots each, top-down node indexing, plus per-node materialization
-// flags. Absent nodes keep all-zero slots, so reads never need the flag.
-type tlArena struct {
-	slots []uint64 // NodesPerTreeLing * arity
-	has   []bool
+// DigestImage folds the global tree's materialized node contents
+// (bottom-up, key order) into a single hash, for state-equality checks
+// after recovery.
+func (g *Global) DigestImage() uint64 {
+	return g.t.digest(globalKey)
 }
 
-// Forest is the functional hash storage for the TreeLing forest: a dense
-// per-TreeLing arena indexed by (TreeLing, node, slot) arithmetic, with
-// per-TreeLing roots kept "on-chip" (a root table indexed by TreeLing),
-// which is what isolates the TreeLings from each other.
+// Forest is the functional hash storage for the TreeLing forest: one core
+// tree per touched TreeLing, each with its own root register "on-chip",
+// which is what isolates the TreeLings from each other. Nodes are named by
+// top-down index (0 is the top node) and mapped to (level, position)
+// through the layout.
 type Forest struct {
-	lay     *layout.Layout
-	arity   int
-	tls     []*tlArena // indexed by TreeLing; nil = untouched
-	zero    []uint64   // shared all-zero node, read-only
-	roots   []uint64   // on-chip TreeLing root hashes
-	rootSet []bool
-
-	// Functional-layer statistics (leaf updates and verifications).
-	Updates  stats.Counter
-	Verifies stats.Counter
+	counters
+	lay   *layout.Layout
+	tls   []*merkle // indexed by TreeLing; nil = untouched, visited top-down
+	empty *merkle   // read-only stand-in for untouched TreeLings
 }
 
 // NewForest creates the functional forest for a layout.
 func NewForest(lay *layout.Layout) *Forest {
-	return &Forest{lay: lay, arity: lay.Arity, zero: make([]uint64, lay.Arity)}
+	w := chunkWidths(lay.TreeLingHeight, func(level int) uint64 { return uint64(lay.LevelNodeCount(level)) })
+	return &Forest{lay: lay, tls: make([]*merkle, lay.TreeLingCount), empty: newMerkle(lay.Arity, w, true)}
 }
 
-// RegisterMetrics registers the forest's functional counters.
-func (f *Forest) RegisterMetrics(r *telemetry.Registry, prefix string) {
-	r.RegisterCounter(prefix+".updates", &f.Updates)
-	r.RegisterCounter(prefix+".verifies", &f.Verifies)
-}
-
-// ResetStats clears the functional counters (end-of-warmup boundary).
-func (f *Forest) ResetStats() {
-	f.Updates.Reset()
-	f.Verifies.Reset()
-}
-
-// peek returns tl's arena, or nil if untouched.
-func (f *Forest) peek(tl int) *tlArena {
-	if tl >= len(f.tls) {
-		return nil
+// peek returns tl's tree, or the empty stand-in if tl is untouched.
+func (f *Forest) peek(tl int) *merkle {
+	if tl < len(f.tls) && f.tls[tl] != nil {
+		return f.tls[tl]
 	}
-	return f.tls[tl]
+	return f.empty
 }
 
-// arena returns tl's arena, materializing it.
-func (f *Forest) arena(tl int) *tlArena {
-	for len(f.tls) <= tl {
-		//ivlint:allow hotalloc — lazy arena-directory growth: bounded by the TreeLing count, quiesces after warmup
-		f.tls = append(f.tls, nil)
-	}
+// tree returns tl's tree, materializing it.
+func (f *Forest) tree(tl int) *merkle {
 	if f.tls[tl] == nil {
-		f.tls[tl] = &tlArena{
-			slots: make([]uint64, f.lay.NodesPerTreeLing*f.arity),
-			has:   make([]bool, f.lay.NodesPerTreeLing),
-		}
+		f.tls[tl] = newMerkle(f.lay.Arity, f.empty.width, true)
 	}
 	return f.tls[tl]
+}
+
+// at maps slot `slot` of top-down node nodeIdx onto the core's link.
+func (f *Forest) at(nodeIdx, slot int) link {
+	level := f.lay.LevelOf(nodeIdx)
+	return link{level, uint64(nodeIdx - f.lay.LevelOffset(level)), slot}
+}
+
+// linkError reports a failed link; Node is the top-down node index.
+func (f *Forest) linkError(class Violation, tl int, l link, detail string) error {
+	n := f.lay.NodeIndex(l.level, int(l.pos))
+	addr, err := f.lay.TreeLingNodeAddr(tl, n)
+	if err != nil {
+		addr = 0
+	}
+	return newIntegrityError(class, tl, l.level, n, l.slot, addr, detail)
 }
 
 // Slot returns the hash stored in a TreeLing node slot.
 func (f *Forest) Slot(tl, nodeIdx, slot int) uint64 {
-	a := f.peek(tl)
-	if a == nil {
-		return 0
-	}
-	return a.slots[nodeIdx*f.arity+slot]
-}
-
-func (f *Forest) nodeHash(a *tlArena, nodeIdx int) uint64 {
-	if a == nil {
-		return crypto.NodeHash(f.zero...)
-	}
-	off := nodeIdx * f.arity
-	return crypto.NodeHash(a.slots[off : off+f.arity]...)
+	return f.peek(tl).slot(f.at(nodeIdx, slot))
 }
 
 // SetSlot stores a hash into a TreeLing node slot and recomputes the path
@@ -369,43 +228,7 @@ func (f *Forest) nodeHash(a *tlArena, nodeIdx int) uint64 {
 //ivlint:hotpath
 func (f *Forest) SetSlot(tl, nodeIdx, slot int, h uint64) {
 	f.Updates.Inc()
-	a := f.arena(tl)
-	a.has[nodeIdx] = true
-	a.slots[nodeIdx*f.arity+slot] = h
-	f.rehash(tl, a, nodeIdx)
-}
-
-func (f *Forest) setRoot(tl int, h uint64) {
-	for len(f.roots) <= tl {
-		//ivlint:allow hotalloc — on-chip root registers grow to the TreeLing count once, then stay put
-		f.roots = append(f.roots, 0)
-		//ivlint:allow hotalloc — grows in lockstep with roots above
-		f.rootSet = append(f.rootSet, false)
-	}
-	f.roots[tl] = h
-	f.rootSet[tl] = true
-}
-
-func (f *Forest) dropRoot(tl int) {
-	if tl < len(f.roots) {
-		f.roots[tl] = 0
-		f.rootSet[tl] = false
-	}
-}
-
-func (f *Forest) rehash(tl int, a *tlArena, nodeIdx int) {
-	cur := nodeIdx
-	for {
-		h := f.nodeHash(a, cur)
-		parent, slot, ok := f.lay.Parent(cur)
-		if !ok {
-			f.setRoot(tl, h)
-			return
-		}
-		a.has[parent] = true
-		a.slots[parent*f.arity+slot] = h
-		cur = parent
-	}
+	f.tree(tl).set(f.at(nodeIdx, slot), h)
 }
 
 // Verify checks the chain from (nodeIdx, slot) holding hash h up to the
@@ -414,72 +237,30 @@ func (f *Forest) rehash(tl int, a *tlArena, nodeIdx int) {
 //ivlint:hotpath
 func (f *Forest) Verify(tl, nodeIdx, slot int, h uint64) error {
 	f.Verifies.Inc()
-	a := f.peek(tl)
-	if got := f.Slot(tl, nodeIdx, slot); got != h {
-		return newIntegrityError(ViolationTreeNode, tl, f.lay.LevelOf(nodeIdx), nodeIdx, slot,
-			f.nodeAddr(tl, nodeIdx), "stored slot disagrees with leaf hash")
+	start := f.at(nodeIdx, slot)
+	l, ok := f.peek(tl).verify(start, h)
+	switch {
+	case ok:
+		return nil
+	case l.slot < 0:
+		return f.linkError(ViolationRoot, tl, l, rootMismatch)
+	case l == start:
+		return f.linkError(ViolationTreeNode, tl, l, leafMismatch)
 	}
-	cur := nodeIdx
-	for {
-		nh := f.nodeHash(a, cur)
-		parent, slot, ok := f.lay.Parent(cur)
-		if !ok {
-			if f.Root(tl) != nh {
-				return newIntegrityError(ViolationRoot, tl, f.lay.TreeLingHeight, cur, -1,
-					f.nodeAddr(tl, cur), "top node disagrees with on-chip root")
-			}
-			return nil
-		}
-		var got uint64
-		if a != nil {
-			got = a.slots[parent*f.arity+slot]
-		}
-		if got != nh {
-			return newIntegrityError(ViolationTreeNode, tl, f.lay.LevelOf(parent), parent, slot,
-				f.nodeAddr(tl, parent), "stored slot disagrees with recomputed path hash")
-		}
-		cur = parent
-	}
+	return f.linkError(ViolationTreeNode, tl, l, pathMismatch)
 }
 
-func (f *Forest) nodeAddr(tl, nodeIdx int) uint64 {
-	a, err := f.lay.TreeLingNodeAddr(tl, nodeIdx)
-	if err != nil {
-		return 0
-	}
-	return a
-}
-
-// Root returns the on-chip root hash of a TreeLing.
-func (f *Forest) Root(tl int) uint64 {
-	if tl < len(f.roots) && f.rootSet[tl] {
-		return f.roots[tl]
-	}
-	return 0
-}
+// Root returns the on-chip root hash of a TreeLing (0 when it has none).
+func (f *Forest) Root(tl int) uint64 { return f.peek(tl).root }
 
 // Clone deep-copies the forest: the persisted node image plus the on-chip
 // root table (which RecoverRoot rebuilds from the image alone).
 func (f *Forest) Clone() *Forest {
-	c := &Forest{
-		lay:     f.lay,
-		arity:   f.arity,
-		tls:     make([]*tlArena, len(f.tls)),
-		zero:    f.zero,
-		roots:   append([]uint64(nil), f.roots...),
-		rootSet: append([]bool(nil), f.rootSet...),
-	}
-	for tl, a := range f.tls {
-		if a == nil {
-			continue
+	c := &Forest{lay: f.lay, tls: make([]*merkle, len(f.tls)), empty: f.empty}
+	for tl, t := range f.tls {
+		if t != nil {
+			c.tls[tl] = t.clone()
 		}
-		cp := &tlArena{
-			slots: make([]uint64, len(a.slots)),
-			has:   make([]bool, len(a.has)),
-		}
-		copy(cp.slots, a.slots)
-		copy(cp.has, a.has)
-		c.tls[tl] = cp
 	}
 	return c
 }
@@ -488,104 +269,60 @@ func (f *Forest) Clone() *Forest {
 // The on-chip root table is deliberately NOT restored — it is lost at a
 // crash; the recovery path must rebuild it per TreeLing via RecoverRoot.
 func (f *Forest) RestoreFrom(img *Forest) {
-	c := img.Clone()
-	f.tls = c.tls
-	f.roots = nil
-	f.rootSet = nil
-}
-
-// RestoreFrom replaces the global tree's node image with a deep copy of
-// img's. The on-chip root register is NOT restored; call RecoverRoot.
-func (g *Global) RestoreFrom(img *Global) {
-	g.levels = img.Clone().levels
-	g.root = 0
+	f.tls = img.Clone().tls
+	for _, t := range f.tls {
+		if t != nil {
+			t.dropRoot()
+		}
+	}
 }
 
 // VerifyTreeLing checks the internal hash-chain consistency of one
-// TreeLing's persisted nodes: every materialized non-root node's hash must
-// equal the slot its parent holds. Because every SetSlot rehashes up to
-// the root, this invariant holds for any cleanly written image; a
-// violation means the image was torn mid-update.
+// TreeLing's persisted nodes, in top-down index order: every materialized
+// non-root node's hash must equal the slot its parent holds. Because every
+// SetSlot rehashes up to the root, this invariant holds for any cleanly
+// written image; a violation means the image was torn mid-update.
 func (f *Forest) VerifyTreeLing(tl int) error {
-	a := f.peek(tl)
-	if a == nil {
-		return nil
-	}
-	for i := 1; i < f.lay.NodesPerTreeLing; i++ {
-		if !a.has[i] {
-			continue
-		}
-		parent, slot, ok := f.lay.Parent(i)
-		if !ok {
-			continue
-		}
-		if a.slots[parent*f.arity+slot] != f.nodeHash(a, i) {
-			return newIntegrityError(ViolationTorn, tl, f.lay.LevelOf(parent), parent, slot,
-				f.nodeAddr(tl, parent), "persisted parent link disagrees with child hash (torn image)")
-		}
+	if l, torn := f.peek(tl).torn(); torn {
+		return f.linkError(ViolationTorn, tl, l, tornLink)
 	}
 	return nil
 }
 
 // RecoverRoot rebuilds the on-chip root-table entry of TreeLing tl from
 // the persisted node image after a crash, first checking the image for
-// torn writes. A TreeLing with no materialized nodes recovers to no root
-// entry, matching a freshly assigned TreeLing.
+// torn writes. A TreeLing whose top node was never materialized recovers
+// to no root entry, matching a freshly assigned TreeLing.
 func (f *Forest) RecoverRoot(tl int) error {
 	if err := f.VerifyTreeLing(tl); err != nil {
 		return err
 	}
-	a := f.peek(tl)
-	if a == nil || !a.has[0] {
-		f.dropRoot(tl)
-		return nil
+	// Only SetSlot roots a TreeLing, and it always materializes the top
+	// node, so a TreeLing without one already has no root entry.
+	t := f.peek(tl)
+	if top := t.height(); t.node(top, 0) != nil {
+		t.setRoot(t.nodeHash(top, 0))
 	}
-	f.setRoot(tl, f.nodeHash(a, 0))
 	return nil
 }
 
-// ResetTreeLing clears every node of a TreeLing (used when a TreeLing is
-// reclaimed from a destroyed domain).
+// ResetTreeLing clears every node of a TreeLing and its root entry (used
+// when a TreeLing is reclaimed from a destroyed domain).
 func (f *Forest) ResetTreeLing(tl int) {
 	if tl < len(f.tls) {
 		f.tls[tl] = nil
 	}
-	f.dropRoot(tl)
 }
 
 // Corrupt overwrites a stored slot hash — a physical tamper used in tests.
 func (f *Forest) Corrupt(tl, nodeIdx, slot int, v uint64) {
-	a := f.arena(tl)
-	a.has[nodeIdx] = true
-	a.slots[nodeIdx*f.arity+slot] = v
+	f.tree(tl).store(f.at(nodeIdx, slot), v)
 }
 
 // DigestTreeLing folds one TreeLing's materialized node contents (index
 // order) into a single hash, for state-equality checks after recovery.
 func (f *Forest) DigestTreeLing(tl int) uint64 {
-	a := f.peek(tl)
-	var parts []uint64
-	if a != nil {
-		for i := 0; i < f.lay.NodesPerTreeLing; i++ {
-			if !a.has[i] {
-				continue
-			}
-			parts = append(parts, uint64(i))
-			parts = append(parts, a.slots[i*f.arity:(i+1)*f.arity]...)
-		}
-	}
-	return crypto.NodeHash(parts...)
-}
-
-// DigestImage folds the global tree's materialized node contents (key
-// order) into a single hash, for state-equality checks after recovery.
-func (g *Global) DigestImage() uint64 {
-	var parts []uint64
-	g.forEachNode(func(level int, idx uint64) {
-		parts = append(parts, globalKey(level, idx))
-		c := g.peek(level, idx)
-		off := int(idx&gchunkMask) * g.arity
-		parts = append(parts, c.slots[off:off+g.arity]...)
+	return f.peek(tl).digest(func(level int, pos uint64) uint64 {
+		return uint64(f.lay.NodeIndex(level, int(pos)))
 	})
-	return crypto.NodeHash(parts...)
 }
