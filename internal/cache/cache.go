@@ -13,17 +13,21 @@
 //     never evicted by normal fills, matching IvLeague's root locking.
 //
 // The replacement state lives in one flat uint64 arena with each set's
-// block laid out contiguously: the way tags first, then the last-use
-// stamps packed two-per-word as uint32 halves, then one word of
-// dirty/locked bit masks. The tag-match loop — the hottest loop in the
-// whole simulator — thus scans ways*8 contiguous bytes, the LRU victim
-// scan stays inside the same one or two host cache lines, and invalid
-// ways carry a sentinel tag so the hit path needs no validity check.
+// block laid out contiguously: the way tags first, then one recency word,
+// then one flags word. The tag-match loop — the hottest loop in the whole
+// simulator — thus scans ways*8 contiguous bytes, and invalid ways carry a
+// sentinel tag so the hit path needs no validity check. The recency word
+// lists the set's non-reserved ways as 4-bit way indices, most recently
+// used first; a hit or fill moves its way to the front, so the LRU victim
+// is the last index in the word. The flags word holds the dirty bits
+// (bits 0–15) and the non-reserved ways' valid bits (bits 32–47); a fill
+// takes the lowest-index invalid non-reserved way first. One nibble per way caps
+// associativity at 16 ways, which config.CacheConfig.Validate enforces.
 package cache
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"ivleague/internal/config"
 	"ivleague/internal/stats"
@@ -56,19 +60,25 @@ type Cache struct {
 	cfg       config.CacheConfig
 	ways      int
 	stride    int      // uint64 words per set block (64-byte aligned)
-	luOff     int      // word offset of the packed last-use stamps
-	flagsOff  int      // word offset of the dirty/locked mask word
 	data      []uint64 // nsets * stride words
 	setMask   uint64
 	lineShift uint
 	key       uint64 // randomized-indexing key
-	tick      uint64
-	reserved  int // ways [0,reserved) hold only locked lines
+	reserved  int    // ways [0,reserved) hold only locked lines
+	normal    uint64 // bit mask of the non-reserved ways
+	order0    uint64 // recency word of an empty set
+	lruShift  uint   // bit offset of the LRU nibble in the recency word
 
 	Hits      stats.Counter
 	Misses    stats.Counter
 	Evictions stats.Counter
 }
+
+// validShift is the bit offset of the valid bits in a set's flags word.
+const validShift = 32
+
+// nibbles has a 1 in every 4-bit lane of a recency word.
+const nibbles = 0x1111111111111111
 
 // New builds a cache from its configuration. seed keys the randomized index
 // hash (ignored for non-randomized caches). reservedWays ways per set are
@@ -81,9 +91,6 @@ func New(cfg config.CacheConfig, seed uint64, reservedWays int) (*Cache, error) 
 	if reservedWays < 0 || reservedWays >= cfg.Ways {
 		return nil, fmt.Errorf("cache: reservedWays %d must leave at least one normal way of %d", reservedWays, cfg.Ways)
 	}
-	if cfg.Ways > 32 {
-		return nil, fmt.Errorf("cache: %d ways exceed the 32-way bit-mask limit", cfg.Ways)
-	}
 	nsets := cfg.Sets()
 	c := &Cache{
 		cfg:      cfg,
@@ -91,28 +98,32 @@ func New(cfg config.CacheConfig, seed uint64, reservedWays int) (*Cache, error) 
 		setMask:  uint64(nsets - 1),
 		key:      seed ^ 0x9e3779b97f4a7c15,
 		reserved: reservedWays,
+		normal:   1<<uint(cfg.Ways) - 1<<uint(reservedWays),
+		lruShift: 4 * uint(cfg.Ways-reservedWays-1),
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
+	for w := reservedWays; w < cfg.Ways; w++ {
+		c.order0 |= uint64(w) << (4 * uint(w-reservedWays))
 	}
-	c.lineShift = shift
-	c.luOff = c.ways
-	c.flagsOff = c.luOff + (c.ways+1)/2
-	c.stride = c.flagsOff + 1
-	// Round the block up to a whole number of 64-byte lines so sets never
-	// share a host cache line.
-	if r := c.stride % 8; r != 0 {
-		c.stride += 8 - r
+	for 1<<c.lineShift < cfg.LineBytes {
+		c.lineShift++
 	}
+	// Round the block (tags, recency word, flags word) up to a whole number
+	// of 64-byte lines so sets never share a host cache line.
+	c.stride = (c.ways + 2 + 7) &^ 7
 	c.data = make([]uint64, nsets*c.stride)
 	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		for w := 0; w < c.ways; w++ {
-			c.data[base+w] = invalidTag
-		}
+		c.reset(set * c.stride)
 	}
 	return c, nil
+}
+
+// reset empties the set block at base.
+func (c *Cache) reset(base int) {
+	for w := 0; w < c.ways; w++ {
+		c.data[base+w] = invalidTag
+	}
+	c.data[base+c.ways] = c.order0
+	c.data[base+c.ways+1] = 0
 }
 
 func (c *Cache) index(lineAddr uint64) uint64 {
@@ -129,51 +140,16 @@ func (c *Cache) index(lineAddr uint64) uint64 {
 	return x & c.setMask
 }
 
-// lastUse reads way i's last-use stamp in the set block at base.
-func (c *Cache) lastUse(base, i int) uint64 {
-	return c.data[base+c.luOff+i/2] >> (uint(i&1) * 32) & 0xffffffff
-}
-
-// setLastUse stores way i's last-use stamp in the set block at base.
-func (c *Cache) setLastUse(base, i int, v uint64) {
-	w := &c.data[base+c.luOff+i/2]
-	sh := uint(i&1) * 32
-	*w = *w&^(0xffffffff<<sh) | v<<sh
-}
-
-// tickNext advances the replacement clock. Stamps are stored as uint32, so
-// when the clock reaches the 32-bit ceiling every stored stamp is
-// renumbered by rank — an order-preserving compaction that leaves all
-// future LRU decisions exactly as they would have been with unbounded
-// stamps.
-func (c *Cache) tickNext() uint64 {
-	if c.tick == 1<<32-1 {
-		c.renormalize()
-	}
-	c.tick++
-	return c.tick
-}
-
-func (c *Cache) renormalize() {
-	type stamp struct {
-		base, way int
-		v         uint64
-	}
-	var all []stamp
-	nsets := int(c.setMask) + 1
-	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		for w := 0; w < c.ways; w++ {
-			if v := c.lastUse(base, w); v != 0 {
-				all = append(all, stamp{base, w, v})
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-	for rank, s := range all {
-		c.setLastUse(s.base, s.way, uint64(rank)+1)
-	}
-	c.tick = uint64(len(all))
+// touch moves non-reserved way w to the front of the recency word of the
+// set block at base. The word holds each non-reserved way exactly once, so
+// the first nibble equal to w — found with the SWAR zero-nibble test on
+// word^w — is its position p; nibbles 0..p-1 shift up one place.
+func (c *Cache) touch(base, w int) {
+	o := &c.data[base+c.ways]
+	x := *o ^ uint64(w)*nibbles
+	sh := uint(bits.TrailingZeros64((x-nibbles)&^x&(8*nibbles))) &^ 3
+	before := uint64(1)<<sh - 1
+	*o = *o&^(before<<4|0xf) | (*o&before)<<4 | uint64(w)
 }
 
 // Access looks up addr (a byte address), filling on a miss. write marks the
@@ -181,16 +157,17 @@ func (c *Cache) renormalize() {
 //
 //ivlint:hotpath
 func (c *Cache) Access(addr uint64, write bool) Result {
-	now := c.tickNext()
 	lineAddr := addr >> c.lineShift
 	base := int(c.index(lineAddr)) * c.stride
 	tags := c.data[base : base+c.ways]
 	res := Result{Latency: c.cfg.HitLatency}
 	for i, t := range tags {
 		if t == lineAddr {
-			c.setLastUse(base, i, now)
+			if i >= c.reserved {
+				c.touch(base, i)
+			}
 			if write {
-				c.data[base+c.flagsOff] |= 1 << uint(i)
+				c.data[base+c.ways+1] |= 1 << uint(i)
 			}
 			res.Hit = true
 			c.Hits.Inc()
@@ -198,35 +175,27 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 	}
 	c.Misses.Inc()
-	// Fill: choose an invalid or LRU way among the non-reserved ways. New
-	// guarantees reserved < ways, so the first candidate always exists and
-	// victim selection is total.
-	victim := c.reserved
-	vLU := c.lastUse(base, victim)
-	for i := c.reserved; i < len(tags); i++ {
-		if tags[i] == invalidTag {
-			victim = i
-			break
-		}
-		if lu := c.lastUse(base, i); lu < vLU {
-			victim, vLU = i, lu
-		}
+	// Fill: the lowest-index invalid non-reserved way, else the LRU one.
+	// New guarantees reserved < ways, so victim selection is total.
+	flags := &c.data[base+c.ways+1]
+	victim := int(c.data[base+c.ways] >> c.lruShift & 0xf)
+	if free := ^(*flags >> validShift) & c.normal; free != 0 {
+		victim = bits.TrailingZeros64(free)
 	}
-	flags := &c.data[base+c.flagsOff]
-	dirtyBit := uint64(1) << uint(victim)
+	bit := uint64(1) << uint(victim)
 	if tags[victim] != invalidTag {
 		res.Evicted = true
 		c.Evictions.Inc()
-		if *flags&dirtyBit != 0 {
+		if *flags&bit != 0 {
 			res.EvictedDirty = true
 			res.WritebackAddr = tags[victim] << c.lineShift
 		}
 	}
 	tags[victim] = lineAddr
-	c.setLastUse(base, victim, now)
-	*flags &^= dirtyBit | dirtyBit<<32 // clear dirty + locked
+	c.touch(base, victim)
+	*flags = *flags&^bit | bit<<validShift
 	if write {
-		*flags |= dirtyBit
+		*flags |= bit
 	}
 	return res
 }
@@ -239,10 +208,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	for i, t := range c.data[base : base+c.ways] {
 		if t == lineAddr {
 			bit := uint64(1) << uint(i)
-			present, dirty = true, c.data[base+c.flagsOff]&bit != 0
+			present, dirty = true, c.data[base+c.ways+1]&bit != 0
 			c.data[base+i] = invalidTag
-			c.setLastUse(base, i, 0)
-			c.data[base+c.flagsOff] &^= bit | bit<<32
+			c.data[base+c.ways+1] &^= bit | bit<<validShift
 			return
 		}
 	}
@@ -259,7 +227,6 @@ func (c *Cache) Lock(addr uint64) error {
 	if c.reserved == 0 {
 		return fmt.Errorf("cache: Lock %#x on a cache without reserved ways", addr)
 	}
-	now := c.tickNext()
 	lineAddr := addr >> c.lineShift
 	base := int(c.index(lineAddr)) * c.stride
 	for i := 0; i < c.reserved; i++ {
@@ -270,8 +237,6 @@ func (c *Cache) Lock(addr uint64) error {
 	for i := 0; i < c.reserved; i++ {
 		if c.data[base+i] == invalidTag {
 			c.data[base+i] = lineAddr
-			c.setLastUse(base, i, now)
-			c.data[base+c.flagsOff] |= 1 << uint(32+i)
 			return nil
 		}
 	}
@@ -281,19 +246,9 @@ func (c *Cache) Lock(addr uint64) error {
 // Flush invalidates every line, returning the number of dirty lines dropped.
 func (c *Cache) Flush() int {
 	dirty := 0
-	nsets := int(c.setMask) + 1
-	for set := 0; set < nsets; set++ {
-		base := set * c.stride
-		flags := c.data[base+c.flagsOff]
-		for w := 0; w < c.ways; w++ {
-			if c.data[base+w] != invalidTag && flags&(1<<uint(w)) != 0 {
-				dirty++
-			}
-			c.data[base+w] = invalidTag
-		}
-		for w := c.luOff; w < c.stride; w++ {
-			c.data[base+w] = 0
-		}
+	for base := 0; base < len(c.data); base += c.stride {
+		dirty += bits.OnesCount32(uint32(c.data[base+c.ways+1]))
+		c.reset(base)
 	}
 	return dirty
 }

@@ -89,10 +89,17 @@ type CacheConfig struct {
 // Sets returns the number of sets implied by the geometry.
 func (c CacheConfig) Sets() int { return c.SizeBytes / (c.Ways * c.LineBytes) }
 
+// maxCacheWays is the highest associativity the cache model supports: its
+// per-set recency word holds one 4-bit index per way.
+const maxCacheWays = 16
+
 // Validate checks the geometry is internally consistent.
 func (c CacheConfig) Validate(name string) error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("config: %s cache has non-positive geometry", name)
+	}
+	if c.Ways > maxCacheWays {
+		return fmt.Errorf("config: %s cache has %d ways; the cache model supports at most %d", name, c.Ways, maxCacheWays)
 	}
 	if c.SizeBytes%(c.Ways*c.LineBytes) != 0 {
 		return fmt.Errorf("config: %s cache size %d not divisible by ways*line", name, c.SizeBytes)

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultValidates(t *testing.T) {
 	cfg := Default()
@@ -41,6 +44,13 @@ func TestCacheValidation(t *testing.T) {
 		if err := cc.Validate("t"); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
+	}
+	wide := CacheConfig{SizeBytes: 17 << 12, Ways: 17, LineBytes: 64}
+	if err := wide.Validate("t"); err == nil || !strings.Contains(err.Error(), "at most 16") {
+		t.Fatalf("17-way cache: got %v, want an error naming the 16-way limit", err)
+	}
+	if err := (CacheConfig{SizeBytes: 16 << 12, Ways: 16, LineBytes: 64}).Validate("t"); err != nil {
+		t.Fatalf("16-way cache rejected: %v", err)
 	}
 	good := CacheConfig{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}
 	if err := good.Validate("t"); err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"ivleague/internal/layout"
 	"ivleague/internal/stats"
 )
@@ -11,6 +13,7 @@ import (
 // position (padding in a region's last block).
 type nflEntry struct {
 	tag   int64
+	next  int32 // ordinal of the next entry with the same tag, -1 if none
 	avail uint8
 }
 
@@ -26,7 +29,8 @@ type nflRegion struct {
 	tl        int
 	entries   []nflEntry
 	nBlocks   int
-	blockBase int // offset within the TreeLing's NFL address range
+	blockBase int   // offset within the TreeLing's NFL address range
+	first     int32 // space-wide ordinal of entries[0]
 }
 
 // nflSpace is a domain's Node Free-List: the concatenation of the NFL
@@ -35,14 +39,109 @@ type nflRegion struct {
 // frontier is fully mapped — makes allocation O(1); deallocations re-track
 // freed slots at the frontier (tag match, entry repurposing, or a one-step
 // head rewind), so freed capacity is reused immediately.
+//
+// The entries are indexed by tag. Numbering them consecutively in
+// (region, entry) order gives each an ordinal; heads[tl][node] is the
+// ordinal of the first entry tagged (tl, node), -1 if none, and each
+// entry's next continues that chain in ordinal order. The rows grow to
+// the highest TreeLing and node seen, so a lookup is two slice indexes.
+// Tags change only in addRegion, release's repurposing and the image
+// restore, each of which relinks the entries it writes. The index is built
+// on the first clearSlotAnywhere, so spaces that never consume designated
+// slots (Basic mode) never pay for it.
 type nflSpace struct {
 	epb     int
 	regions []*nflRegion
 	fRegion int // frontier region index
 	fBlock  int // frontier block within that region
+	indexed bool
+	heads   [][]int32
 }
 
 func newNFLSpace(epb int) *nflSpace { return &nflSpace{epb: epb} }
+
+// at returns the entry with the given ordinal.
+func (s *nflSpace) at(ord int32) *nflEntry {
+	ri := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].first > ord }) - 1
+	r := s.regions[ri]
+	return &r.entries[ord-r.first]
+}
+
+// head returns the cell holding the ordinal of the first entry tagged tag.
+// An absent cell is created (as -1) when grow is set, else nil is returned.
+func (s *nflSpace) head(tag int64, grow bool) *int32 {
+	tl, node := unpackTag(tag)
+	if uint(tl) >= uint(len(s.heads)) || node >= len(s.heads[tl]) {
+		if !grow {
+			return nil
+		}
+		if tl >= len(s.heads) {
+			//ivlint:allow hotalloc — one row per TreeLing the space tracks; grows on assignment, then quiesces
+			s.heads = append(s.heads, make([][]int32, tl+1-len(s.heads))...)
+		}
+		h := s.heads[tl]
+		n := len(h)
+		h = append(h, make([]int32, node+1-n)...)
+		for i := n; i <= node; i++ {
+			h[i] = -1
+		}
+		s.heads[tl] = h
+	}
+	return &s.heads[tl][node]
+}
+
+// link adds the entry with ordinal ord to its tag's chain. Padding
+// (tag < 0) is not indexed.
+func (s *nflSpace) link(ord int32) {
+	if !s.indexed {
+		return
+	}
+	e := s.at(ord)
+	if e.tag < 0 {
+		return
+	}
+	p := s.head(e.tag, true)
+	for *p >= 0 && *p < ord {
+		p = &s.at(*p).next
+	}
+	e.next, *p = *p, ord
+}
+
+// unlink removes the entry with ordinal ord from its tag's chain.
+func (s *nflSpace) unlink(ord int32) {
+	if !s.indexed {
+		return
+	}
+	e := s.at(ord)
+	if e.tag < 0 {
+		return
+	}
+	p := s.head(e.tag, false)
+	for *p != ord {
+		p = &s.at(*p).next
+	}
+	*p = e.next
+}
+
+// appendRegion numbers the entries of r, appends it and, once the index
+// is built, links them.
+func (s *nflSpace) appendRegion(r *nflRegion) {
+	if n := len(s.regions); n > 0 {
+		last := s.regions[n-1]
+		r.first = last.first + int32(len(last.entries))
+	}
+	//ivlint:allow hotalloc — NFL region materialization: one per frontier advance, bounded by tracked nodes
+	s.regions = append(s.regions, r)
+	s.linkRegion(r)
+}
+
+// linkRegion links r's entries last to first: tracked nodes ascend, so
+// each TreeLing's heads row is sized once, by its highest node.
+func (s *nflSpace) linkRegion(r *nflRegion) {
+	for i := len(r.entries) - 1; i >= 0; i-- {
+		s.link(r.first + int32(i))
+	}
+}
 
 // addRegion appends the NFL region of a newly assigned TreeLing tracking
 // the given node indices, each with the initial availability initAvail.
@@ -61,8 +160,7 @@ func (s *nflSpace) addRegion(tl int, tracked []int32, initAvail uint8, blockBase
 			r.entries[i] = nflEntry{tag: -1}
 		}
 	}
-	//ivlint:allow hotalloc — NFL region materialization: one per frontier advance, bounded by tracked nodes
-	s.regions = append(s.regions, r)
+	s.appendRegion(r)
 	return r
 }
 
@@ -161,7 +259,10 @@ func (s *nflSpace) release(r *nflRegion, b int, tag int64, slot int) bool {
 	}
 	for i := range es {
 		if es[i].avail == 0 {
+			ord := r.first + int32(b*s.epb+i)
+			s.unlink(ord)
 			es[i] = nflEntry{tag: tag, avail: 1 << uint(slot)}
+			s.link(ord)
 			return true
 		}
 	}
@@ -170,15 +271,28 @@ func (s *nflSpace) release(r *nflRegion, b int, tag int64, slot int) bool {
 
 // clearSlotAnywhere removes a specific (tag, slot) from availability
 // wherever it is tracked (used by Invert conversion and Pro reservation,
-// which consume designated slots). Reports whether it was found.
+// which consume designated slots): the first entry in (region, entry)
+// order carrying tag with the slot's bit set. Reports whether it was found.
 func (s *nflSpace) clearSlotAnywhere(tag int64, slot int) bool {
-	for _, r := range s.regions {
-		for i := range r.entries {
-			if r.entries[i].tag == tag && r.entries[i].avail&(1<<uint(slot)) != 0 {
-				r.entries[i].avail &^= 1 << uint(slot)
-				return true
-			}
+	if !s.indexed {
+		// Linking from the last region back makes every link a head
+		// insert.
+		s.indexed = true
+		for ri := len(s.regions) - 1; ri >= 0; ri-- {
+			s.linkRegion(s.regions[ri])
 		}
+	}
+	p := s.head(tag, false)
+	if p == nil {
+		return false
+	}
+	for ord := *p; ord >= 0; {
+		e := s.at(ord)
+		if e.avail&(1<<uint(slot)) != 0 {
+			e.avail &^= 1 << uint(slot)
+			return true
+		}
+		ord = e.next
 	}
 	return false
 }

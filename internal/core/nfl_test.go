@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -295,7 +297,7 @@ func TestHotTrackerMisraGries(t *testing.T) {
 	tr.observe(1)
 	tr.observe(1) // count 2
 	tr.observe(2) // fills second entry
-	hot, _ := tr.observe(1)
+	hot := tr.observe(1)
 	if !hot {
 		t.Fatal("key 1 did not reach threshold 3")
 	}
@@ -321,5 +323,100 @@ func TestHotTrackerClearInterval(t *testing.T) {
 	tr.observe(3) // 4th observation triggers the periodic clear
 	if tr.atThreshold(1) {
 		t.Fatal("counter survived the clear interval")
+	}
+}
+
+// scanFirst is the region-order scan the tag index replaced: the ordinal
+// of the first entry carrying tag with the slot's bit set, or -1.
+func scanFirst(s *nflSpace, tag int64, slot int) int32 {
+	for _, r := range s.regions {
+		for i, e := range r.entries {
+			if e.tag == tag && e.avail&(1<<uint(slot)) != 0 {
+				return r.first + int32(i)
+			}
+		}
+	}
+	return -1
+}
+
+// TestNFLTagIndexMatchesScan drives a three-region space through takes,
+// releases that repurpose entries (so a tag appears in several regions),
+// avail bits set behind the allocator's back the way the nfl-set fault
+// does, and image restores (after which the index is rebuilt on the next
+// clear), and checks every clearSlotAnywhere against the region-order scan
+// and every tag chain against the entries.
+func TestNFLTagIndexMatchesScan(t *testing.T) {
+	s := newNFLSpace(4)
+	for tl := 1; tl <= 3; tl++ {
+		s.addRegion(tl, []int32{1, 2, 3, 4, 5, 6, 7}, 0xff, 0) // one padding entry each
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	tag := func() int64 { return packTag(1+rng.IntN(4), 1+rng.IntN(8)) } // tl 4 and node 8 are foreign
+	for step := 0; step < 20000; step++ {
+		r := s.regions[rng.IntN(len(s.regions))]
+		b := rng.IntN(r.nBlocks)
+		switch op := rng.IntN(10); {
+		case op < 3:
+			if tg, ok := s.peek(r, b); ok {
+				s.take(r, b, tg)
+			}
+		case op < 5:
+			s.release(r, b, tag(), rng.IntN(8))
+		case op < 6:
+			e := &r.entries[rng.IntN(len(r.entries))]
+			e.avail |= 1 << uint(rng.IntN(8)) // the nfl-set fault's bit flip
+		case op < 9:
+			tg, slot := tag(), rng.IntN(8)
+			want := scanFirst(s, tg, slot)
+			found, before := want >= 0, uint8(0)
+			if found {
+				before = s.at(want).avail
+			}
+			if got := s.clearSlotAnywhere(tg, slot); got != found {
+				t.Fatalf("step %d: clearSlotAnywhere(%#x, %d) = %v, scan found %v", step, tg, slot, got, found)
+			}
+			if found && s.at(want).avail != before&^(1<<uint(slot)) {
+				t.Fatalf("step %d: clearSlotAnywhere(%#x, %d) did not clear entry %d", step, tg, slot, want)
+			}
+		default:
+			s = cloneSpace(s).restore()
+		}
+		// Once built, every tag's chain lists exactly its entries, in
+		// order, and the chains together cover every non-padding entry.
+		if !s.indexed {
+			continue
+		}
+		indexed, tagged := 0, 0
+		for _, r := range s.regions {
+			for _, e := range r.entries {
+				if e.tag >= 0 {
+					tagged++
+				}
+			}
+		}
+		for tl, heads := range s.heads {
+			for node, head := range heads {
+				tg := packTag(tl, node)
+				var chain []int32
+				for ord := head; ord >= 0; ord = s.at(ord).next {
+					chain = append(chain, ord)
+				}
+				var want []int32
+				for _, r := range s.regions {
+					for i, e := range r.entries {
+						if e.tag == tg {
+							want = append(want, r.first+int32(i))
+						}
+					}
+				}
+				if !slices.Equal(chain, want) {
+					t.Fatalf("step %d: tag %#x chain %v, entries %v", step, tg, chain, want)
+				}
+				indexed += len(chain)
+			}
+		}
+		if indexed != tagged {
+			t.Fatalf("step %d: chains cover %d entries, %d are tagged", step, indexed, tagged)
+		}
 	}
 }

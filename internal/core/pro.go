@@ -1,28 +1,41 @@
 package core
 
-import "ivleague/internal/layout"
+import (
+	"math/bits"
+
+	"ivleague/internal/layout"
+)
 
 // hotTracker is the per-domain n-entry access-frequency table integrated
-// into the memory controller (Figure 14a). Entries are scanned linearly
-// for replacement, which is deterministic and matches the "replace the
-// entry with the smallest counter" policy. Lookups scan a dense key array
-// (keys[i] mirrors entries[i].pfn, with an all-ones sentinel for invalid
-// entries) instead of a map: the table is small enough — tens of entries —
-// that the scan beats a hash lookup and keeps the access path free of map
-// traffic.
+// into the memory controller (Figure 14a). Every call is O(1) in n, and
+// its decisions are those of a linear scan over the entries array:
+//
+//   - index is an open-addressed, linearly probed key → entry table, sized
+//     to at least twice n so a probe ends at an empty cell;
+//   - the valid entries form the prefix [0,used), because an insert always
+//     takes the first invalid entry and entries never invalidate;
+//   - the valid entries are grouped by counter value into buckets, each a
+//     bitset over entry positions, listed in ascending count order. The
+//     head bucket's lowest set bit is the lowest-index entry with the
+//     smallest counter, the one "replace the entry with the smallest
+//     counter" picks. At most n counts are live at once, so n+1 buckets
+//     suffice whatever the counter width.
 type hotTracker struct {
 	entries  []hotEntry
-	keys     []uint64 // entries[i].pfn when valid, noKey otherwise
-	max      uint32   // counter saturation value
+	used     int
+	index    []int32 // entry position + 1 per cell; 0 = empty
+	shift    uint    // 64 - log2(len(index))
+	in       []int32 // entry position → its bucket
+	buckets  []hotBucket
+	bits     []uint64 // bucket b's members: bits[b*words : (b+1)*words]
+	words    int
+	head     int32  // bucket with the smallest count, -1 when empty
+	spare    int32  // free buckets, chained through next
+	max      uint32 // counter saturation value
 	thresh   uint32
 	interval uint64
 	accesses uint64
 }
-
-// noKey marks an invalid tracker entry in the key scan array. Tracker keys
-// are region numbers (PFN >> HotRegionPagesLog2), which can never reach
-// the all-ones value.
-const noKey = ^uint64(0)
 
 type hotEntry struct {
 	pfn   uint64
@@ -30,77 +43,210 @@ type hotEntry struct {
 	valid bool
 }
 
+// hotBucket is one live counter value: its member count and its neighbours
+// in ascending count order (-1 at either end).
+type hotBucket struct {
+	count      uint32
+	size       int32
+	prev, next int32
+}
+
 func newHotTracker(n, counterBits int, thresh uint32, interval uint64) *hotTracker {
 	if n <= 0 {
 		panic("core: hot tracker needs at least one entry")
 	}
+	cells := 2
+	for cells < 2*n {
+		cells *= 2
+	}
 	t := &hotTracker{
 		entries:  make([]hotEntry, n),
-		keys:     make([]uint64, n),
+		index:    make([]int32, cells),
+		shift:    64 - uint(bits.TrailingZeros(uint(cells))),
+		in:       make([]int32, n),
+		buckets:  make([]hotBucket, n+1),
+		words:    (n + 63) / 64,
 		max:      1<<uint(counterBits) - 1,
 		thresh:   thresh,
 		interval: interval,
 	}
-	for i := range t.keys {
-		t.keys[i] = noKey
-	}
+	t.bits = make([]uint64, (n+1)*t.words)
+	t.clearCounts()
 	return t
 }
 
+// cell returns key's home cell in the index.
+func (t *hotTracker) cell(key uint64) int { return int(key * 0x9e3779b97f4a7c15 >> t.shift) }
+
 // find returns the index of the valid entry tracking key, or -1.
 func (t *hotTracker) find(key uint64) int {
-	for i, k := range t.keys {
-		if k == key {
-			return i
+	for h := t.cell(key); ; h = (h + 1) & (len(t.index) - 1) {
+		p := t.index[h]
+		if p == 0 {
+			return -1
+		}
+		if t.entries[p-1].pfn == key {
+			return int(p - 1)
 		}
 	}
-	return -1
 }
 
-// observe records an access to pfn. It returns:
-//   - hot: the page's counter just reached the threshold;
-//   - victim: a page evicted from the tracker to make room (or ^0).
-func (t *hotTracker) observe(pfn uint64) (hot bool, victim uint64) {
-	victim = ^uint64(0)
+// link records entry i's key in the index.
+func (t *hotTracker) link(i int) {
+	h := t.cell(t.entries[i].pfn)
+	for t.index[h] != 0 {
+		h = (h + 1) & (len(t.index) - 1)
+	}
+	t.index[h] = int32(i + 1)
+}
+
+// unlink removes entry i's key from the index, shifting later cells of its
+// probe run back so every remaining key stays reachable from its home.
+func (t *hotTracker) unlink(i int) {
+	m := len(t.index) - 1
+	h := t.cell(t.entries[i].pfn)
+	for t.index[h] != int32(i+1) {
+		h = (h + 1) & m
+	}
+	for j := h; ; {
+		t.index[h] = 0
+		for {
+			j = (j + 1) & m
+			p := t.index[j]
+			if p == 0 {
+				return
+			}
+			// The key at j may fill the hole at h unless its home lies
+			// cyclically in (h, j].
+			if home := t.cell(t.entries[p-1].pfn); (j-home)&m >= (j-h)&m {
+				t.index[h] = p
+				h = j
+				break
+			}
+		}
+	}
+}
+
+// clearCounts zeroes every counter (construction and the periodic clear):
+// all buckets return to the free list and the valid entries join one
+// count-0 bucket.
+func (t *hotTracker) clearCounts() {
+	clear(t.bits)
+	for b := range t.buckets {
+		t.buckets[b].next = int32(b + 1)
+	}
+	t.buckets[len(t.buckets)-1].next = -1
+	t.head, t.spare = -1, 0
+	for i := 0; i < t.used; i++ {
+		t.in[i] = -1
+		t.setCount(i, 0, -1)
+	}
+}
+
+// bucketFor returns the bucket of count c, linking a free one into the
+// list when c has none. The search starts after bucket from, whose count
+// is below c, or at the head when from is -1; every caller passes a
+// neighbour of c, so it takes at most two steps.
+func (t *hotTracker) bucketFor(c uint32, from int32) int32 {
+	prev, next := from, t.head
+	if from >= 0 {
+		next = t.buckets[from].next
+	}
+	for next >= 0 && t.buckets[next].count < c {
+		prev, next = next, t.buckets[next].next
+	}
+	if next >= 0 && t.buckets[next].count == c {
+		return next
+	}
+	b := t.spare
+	t.spare = t.buckets[b].next
+	t.buckets[b] = hotBucket{count: c, prev: prev, next: next}
+	if prev >= 0 {
+		t.buckets[prev].next = b
+	} else {
+		t.head = b
+	}
+	if next >= 0 {
+		t.buckets[next].prev = b
+	}
+	return b
+}
+
+// setCount sets entry i's counter to c, moving it to c's bucket (found
+// from bucket from, as in bucketFor) and freeing its old bucket if that
+// empties.
+func (t *hotTracker) setCount(i int, c uint32, from int32) {
+	b := t.bucketFor(c, from)
+	if old := t.in[i]; old >= 0 {
+		t.bits[int(old)*t.words+i>>6] &^= 1 << uint(i&63)
+		k := &t.buckets[old]
+		if k.size--; k.size == 0 {
+			if k.prev >= 0 {
+				t.buckets[k.prev].next = k.next
+			} else {
+				t.head = k.next
+			}
+			if k.next >= 0 {
+				t.buckets[k.next].prev = k.prev
+			}
+			k.next, t.spare = t.spare, old
+		}
+	}
+	t.bits[int(b)*t.words+i>>6] |= 1 << uint(i&63)
+	t.buckets[b].size++
+	t.in[i] = b
+	t.entries[i].count = c
+}
+
+// minEntry returns the lowest-index entry with the smallest counter; the
+// table must hold at least one valid entry.
+func (t *hotTracker) minEntry() int {
+	base := int(t.head) * t.words
+	w := 0
+	for t.bits[base+w] == 0 {
+		w++
+	}
+	return w<<6 + bits.TrailingZeros64(t.bits[base+w])
+}
+
+// observe records an access to key and reports whether key is tracked
+// with its counter at or above the hot threshold afterwards.
+func (t *hotTracker) observe(key uint64) bool {
 	t.accesses++
 	if t.interval > 0 && t.accesses%t.interval == 0 {
 		// Periodic counter clear (Section VII-B): hot pages must keep
 		// earning their residency.
-		for i := range t.entries {
-			t.entries[i].count = 0
-		}
+		t.clearCounts()
 	}
-	if i := t.find(pfn); i >= 0 {
-		e := &t.entries[i]
-		if e.count < t.max {
-			e.count++
+	if i := t.find(key); i >= 0 {
+		if c := t.entries[i].count; c < t.max {
+			t.setCount(i, c+1, t.in[i])
 		}
-		return e.count == t.thresh, victim
+		return t.entries[i].count >= t.thresh
 	}
 	// Insert: first invalid entry, else Misra-Gries-style replacement —
 	// decrement the smallest counter and only take its entry once it
 	// reaches zero, so recurring warm pages survive one-shot traffic.
 	// (A "more advanced hotpage detection mechanism" per Section VII-B.)
-	slot := -1
-	for i := range t.entries {
-		if !t.entries[i].valid {
-			slot = i
-			break
+	i := t.used
+	if i < len(t.entries) {
+		t.used++
+		t.entries[i] = hotEntry{pfn: key, valid: true}
+		t.in[i] = -1
+	} else {
+		i = t.minEntry()
+		if c := t.entries[i].count; c > 1 {
+			t.setCount(i, c-1, -1)
+			return false // newcomer not admitted this time
 		}
-		if slot < 0 || t.entries[i].count < t.entries[slot].count {
-			slot = i
-		}
+		t.unlink(i)
+		t.entries[i].pfn = key
 	}
-	if t.entries[slot].valid {
-		if t.entries[slot].count > 1 {
-			t.entries[slot].count--
-			return false, victim // newcomer not admitted this time
-		}
-		victim = t.entries[slot].pfn
+	t.link(i)
+	if t.entries[i].count != 1 {
+		t.setCount(i, 1, -1)
 	}
-	t.entries[slot] = hotEntry{pfn: pfn, count: 1, valid: true}
-	t.keys[slot] = pfn
-	return t.thresh == 1, victim
+	return 1 >= t.thresh
 }
 
 // atThreshold reports whether key's counter has reached the hot threshold.
@@ -203,12 +349,12 @@ func (c *Controller) OnAccess(domainID int, pfn layout.PFN, slot SlotID, ops *Op
 	// Region-granular tracking: the tracker counts accesses per region;
 	// once a region is hot, each of its pages migrates on its next access.
 	region := uint64(pfn) >> uint(c.cfg.HotRegionPagesLog2)
-	hot, _ := d.hot.observe(region)
+	hot := d.hot.observe(region)
 	d.sinceMig++
 	// The migration engine is rate-limited (one relocation per several
 	// memory-controller accesses) so τhot residency favours genuinely
 	// recurring regions instead of thrashing on one-shot traffic.
-	if (hot || d.hot.atThreshold(region)) && d.sinceMig >= 8 {
+	if hot && d.sinceMig >= 8 {
 		if _, already := d.hotPages.get(pfn); !already && !c.isHotNode(slot.Node()) {
 			if ns, ok := c.migrateToHot(d, pfn, slot, ops); ok {
 				d.sinceMig = 0

@@ -68,7 +68,7 @@ func cloneSpace(s *nflSpace) *spaceImage {
 func (img *spaceImage) restore() *nflSpace {
 	s := newNFLSpace(img.epb)
 	for _, r := range img.regions {
-		s.regions = append(s.regions, &nflRegion{
+		s.appendRegion(&nflRegion{
 			tl:        r.tl,
 			entries:   append([]nflEntry(nil), r.entries...),
 			nBlocks:   r.nBlocks,

@@ -23,8 +23,8 @@ import (
 //     testing.AllocsPerRun(...) == 0.
 //
 // Appends that stay in a function-local slice are tolerated — that is the
-// amortized collect-then-discard pattern (e.g. LRU-stamp renormalization),
-// and the differential AllocsPerRun test is the backstop for those.
+// amortized collect-then-discard pattern, and the differential
+// AllocsPerRun test is the backstop for those.
 // Deliberate cold branches on the hot path (lazy arena materialization that
 // quiesces after warmup) carry an //ivlint:allow with the argument for why
 // the allocation is amortized.

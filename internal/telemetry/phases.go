@@ -28,7 +28,9 @@ const (
 	// toward the root and leaf-node updates on the write path.
 	PhaseTreeWalk
 	// PhaseCrypto covers functional MAC/hash work: hash-chain
-	// verification and hash maintenance after writes and page maps.
+	// verification and hash maintenance after writes and page maps. Only
+	// functional-memory runs do that work; in timing-only runs the region
+	// is never entered and FormatReport says so instead of printing 0.
 	PhaseCrypto
 	// PhaseMetaCache covers on-chip metadata-cache lookups: the counter
 	// cache and the LMM lookup/slot-resolution path.
@@ -164,7 +166,9 @@ func (t *PhaseTimers) Register(r *Registry, prefix string) {
 }
 
 // FormatReport renders the phase table for CLI output, phases sorted by
-// descending sampled time under the step total.
+// descending sampled time under the step total. A crypto phase without
+// samples is labelled functional-only: a timing-only run does no hash
+// work, and a 0 there does not mean crypto is free.
 func (t *PhaseTimers) FormatReport() string {
 	stats := t.Report()
 	if len(stats) == 0 {
@@ -175,6 +179,10 @@ func (t *PhaseTimers) FormatReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "phase timing (sampled every %d ops, host time):\n", t.SampleEvery())
 	for _, s := range stats {
+		if s.Phase == PhaseCrypto.String() && s.Samples == 0 {
+			fmt.Fprintf(&b, "  %-11s not timed: functional-memory runs only\n", s.Phase)
+			continue
+		}
 		fmt.Fprintf(&b, "  %-11s %12.3fms  %8d samples  %5.1f%% of step\n",
 			s.Phase, float64(s.Ns)/1e6, s.Samples, s.OfStep*100)
 	}

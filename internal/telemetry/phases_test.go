@@ -76,10 +76,17 @@ func TestPhaseTimersAccumulateAndReport(t *testing.T) {
 		t.Fatalf("secmem stat: %+v", secmem)
 	}
 	out := pt.FormatReport()
-	for _, want := range []string{"step", "secmem", "tree_walk", "% of step"} {
+	for _, want := range []string{"step", "secmem", "tree_walk", "% of step",
+		"crypto      not timed: functional-memory runs only"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("FormatReport missing %q:\n%s", want, out)
 		}
+	}
+	// Once the functional path times crypto work, the row is a figure.
+	pt.BeginOp()
+	pt.End(PhaseCrypto, pt.Start())
+	if out := pt.FormatReport(); strings.Contains(out, "not timed") || !strings.Contains(out, "crypto      ") {
+		t.Fatalf("timed crypto phase still labelled functional-only:\n%s", out)
 	}
 }
 
